@@ -18,6 +18,8 @@
 //	bwbench -mv -o BENCH_8.json
 //	bwbench -coord             # cluster coordinator: cache + sharding (JSON)
 //	bwbench -coord -o BENCH_9.json
+//	bwbench -window            # window-sum sweep vs twopointer and bagged (JSON)
+//	bwbench -window -o BENCH_12.json
 //
 // Columns marked * are the GPU simulator's modelled device seconds;
 // columns marked ^ are extrapolated along the program's complexity curve
@@ -72,7 +74,9 @@ func run() error {
 		mvMaxN  = flag.Int("mv-maxn", 10_000, "largest n measured by -mv (CI smoke runs cap this)")
 		coordB  = flag.Bool("coord", false, "benchmark the cluster coordinator's cache and modelled replica scaling and emit JSON")
 		coMaxN  = flag.Int("coord-maxn", 10_000, "largest n measured by -coord (CI smoke runs cap this)")
-		outPath = flag.String("o", "", "output file for -twopointer/-bagged/-mv/-coord JSON (default stdout)")
+		window  = flag.Bool("window", false, "benchmark the window-sum sweep against twopointer (same-run gate) and bagged, and emit JSON")
+		winMaxN = flag.Int("window-maxn", 1_000_000, "largest n measured by -window (CI smoke runs cap this)")
+		outPath = flag.String("o", "", "output file for -twopointer/-bagged/-mv/-coord/-window JSON (default stdout)")
 	)
 	flag.Parse()
 	if *twoPtr {
@@ -86,6 +90,9 @@ func run() error {
 	}
 	if *coordB {
 		return runCoord(*seed, *outPath, *coMaxN)
+	}
+	if *window {
+		return runWindow(*seed, *outPath, *winMaxN)
 	}
 	if !*table1 && !*table2a && !*table2b && !*figure1 && !*verdict && !*future {
 		*all = true

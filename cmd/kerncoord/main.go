@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -83,7 +84,7 @@ func run() int {
 		MaxGrid: *maxGrid,
 		Timeout: *timeout,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := serve.NewHTTPServer(*addr, srv)
 
 	errc := make(chan error, 1)
 	go func() {

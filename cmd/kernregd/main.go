@@ -66,7 +66,7 @@ func run() int {
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			fmt.Fprintf(os.Stderr, "kernregd: pprof on %s\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
+			if err := serve.NewHTTPServer(*debugAddr, dmux).ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "kernregd: pprof listener: %v\n", err)
 			}
 		}()
@@ -82,7 +82,7 @@ func run() int {
 		FaultInjection: *faultInject,
 		WorkerLabel:    *label,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(*addr, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() {

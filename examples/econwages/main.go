@@ -9,7 +9,8 @@
 //     paper's introduction),
 //   - single-start numerical optimisation (the R np approach the paper
 //     benchmarks against, with its local-minimum risk),
-//   - the paper's sorted fast grid search (exact over the grid).
+//   - the fast grid search (exact over the grid; the window-sum sweep,
+//     kernreg's default).
 //
 // It then prints the fitted profile with leave-one-out cross-validated
 // 95% confidence bands — the extension the paper's §II describes.
@@ -58,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. The paper's sorted fast grid search over 100 candidates.
+	// 3. The fast grid search over 100 candidates (kernreg's default).
 	grid, err := kernreg.SelectBandwidth(exp, wage, kernreg.GridSize(100))
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +68,7 @@ func main() {
 	fmt.Println("bandwidth selection for E[log wage | experience], n = 3000")
 	fmt.Printf("  ad hoc rule of thumb:     h = %6.3f\n", adhoc)
 	fmt.Printf("  numerical optimisation:   h = %6.3f  (CV %.6f)\n", numerical.Bandwidth, numerical.CV)
-	fmt.Printf("  sorted fast grid search:  h = %6.3f  (CV %.6f)\n\n", grid.Bandwidth, grid.CV)
+	fmt.Printf("  fast grid search:         h = %6.3f  (CV %.6f)\n\n", grid.Bandwidth, grid.CV)
 
 	// Compare out-of-sample quality: CV score at each bandwidth.
 	for _, c := range []struct {

@@ -1,5 +1,5 @@
 // Quickstart: generate the paper's synthetic dataset, select the optimal
-// bandwidth with the sorted fast grid search, fit the Nadaraya–Watson
+// bandwidth with the default fast grid search, fit the Nadaraya–Watson
 // regression, and print the fitted curve against the true conditional
 // mean.
 package main

@@ -144,7 +144,6 @@ func TestBaggedAdversarialCorpus(t *testing.T) {
 	if sel.Run == nil {
 		t.Fatal("bagged selector not registered")
 	}
-	oracle := oracleFor(LocalConstant)
 	for _, d := range Corpus() {
 		if d.Heavy && testing.Short() {
 			continue
@@ -157,7 +156,7 @@ func TestBaggedAdversarialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("grid: %v", err)
 			}
-			ref, err := oracle.Run(context.Background(), d.X, d.Y, g)
+			ref, err := corpusOracle(d, g, LocalConstant, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}

@@ -49,16 +49,19 @@ func sharedCoordinator() (*coord.Coordinator, error) {
 	return coordShared, coordErr
 }
 
-// runCoordSharded adapts the coordinator to the Selector interface,
-// passing ctx straight through per the registry contract.
-func runCoordSharded(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	c, err := sharedCoordinator()
-	if err != nil {
-		return bandwidth.Result{}, err
+// runCoordSharded adapts the coordinator running one shardable method
+// to the Selector interface, passing ctx straight through per the
+// registry contract.
+func runCoordSharded(method string) func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+	return func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		c, err := sharedCoordinator()
+		if err != nil {
+			return bandwidth.Result{}, err
+		}
+		res, err := c.Select(ctx, coord.Job{X: x, Y: y, Grid: g, Method: method, KeepScores: true})
+		if err != nil {
+			return bandwidth.Result{}, err
+		}
+		return res.Result, nil
 	}
-	res, err := c.Select(ctx, coord.Job{X: x, Y: y, Grid: g, Method: "twopointer", KeepScores: true})
-	if err != nil {
-		return bandwidth.Result{}, err
-	}
-	return res.Result, nil
 }

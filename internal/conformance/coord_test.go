@@ -22,6 +22,8 @@ func singleNode(t *testing.T, method string, x, y []float64, g bandwidth.Grid) b
 		err error
 	)
 	switch method {
+	case "window":
+		res, err = bandwidth.WindowGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
 	case "sorted":
 		res, err = bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
 	case "twopointer":
@@ -54,7 +56,7 @@ func TestCoordShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: grid: %v", d.Name, err)
 		}
-		for _, method := range []string{"sorted", "twopointer", "naive"} {
+		for _, method := range []string{"window", "sorted", "twopointer", "naive"} {
 			want := singleNode(t, method, d.X, d.Y, g)
 			got, err := c.Select(context.Background(), coord.Job{
 				X: d.X, Y: d.Y, Grid: g, Method: method, KeepScores: true,

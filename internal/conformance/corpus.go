@@ -25,6 +25,10 @@ type Dataset struct {
 	// in race-mode smoke runs, where the functional device simulation
 	// dominates the runtime.
 	Heavy bool
+	// Float64Only marks samples float32 cannot represent (X needs more
+	// than float32's 24 significant bits to resolve the distances);
+	// the Float32-class selectors skip them.
+	Float64Only bool
 }
 
 // Grid materialises the dataset's candidate grid.
@@ -282,5 +286,82 @@ func Corpus() []Dataset {
 		cases = append(cases, Dataset{Name: "dense-grid", X: d.X, Y: d.Y, GridMin: min, GridMax: max, K: 128})
 	}
 
+	return append(cases, windowCases()...)
+}
+
+// windowCases are the adversarial shapes for the window-sum sweep, whose
+// moment expansion cancels in proportion to (|X − anchor|/h)²: a huge
+// offset on X, spread/h beyond 10⁶, spacings that land exactly on grid
+// bandwidths, and heavy duplication. They draw from their own stream so
+// the cases above stay bit-identical.
+func windowCases() []Dataset {
+	rng := rand.New(rand.NewSource(1712_00993)) // Langrené & Warin's arXiv id
+	var cases []Dataset
+
+	// X = offset + U[0,1): every selector must see the same distances
+	// as without the offset. 1e8 leaves X with ~2⁻²⁶ resolution, so
+	// the float32 device paths cannot represent this sample at all —
+	// the case is Float64Only.
+	for _, off := range []struct {
+		name   string
+		offset float64
+		f64    bool
+	}{{"offset-x-1e3", 1e3, false}, {"offset-x-1e8", 1e8, true}} {
+		n := 160
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			u := rng.Float64()
+			x[i] = off.offset + u
+			y[i] = math.Sin(6*u) + 0.1*rng.NormFloat64()
+		}
+		min, max := paperRange(x, 20)
+		cases = append(cases, Dataset{Name: off.name, X: x, Y: y, GridMin: min, GridMax: max, K: 20, Float64Only: off.f64})
+	}
+
+	// A cluster 10⁻⁶ wide plus two remote points: spread/h ≥ 10⁶ at
+	// every grid bandwidth while the windows stay well populated.
+	// float32 resolves this cluster only because it sits at the origin:
+	// no translate of it is representable (the shift-x invariant moves
+	// it to where the float32 ulp exceeds the smallest bandwidth), so
+	// the case is Float64Only too.
+	{
+		var x, y []float64
+		for i := 0; i < 150; i++ {
+			u := rng.Float64()
+			x = append(x, 1e-6*u)
+			y = append(y, math.Cos(5*u)+0.1*rng.NormFloat64())
+		}
+		x = append(x, -1, 1)
+		y = append(y, 3, -3)
+		cases = append(cases, Dataset{Name: "spread-over-h-1e6", X: x, Y: y, GridMin: 2e-8, GridMax: 1e-6, K: 20, Float64Only: true})
+	}
+
+	// Integer lattice and integer grid: spacings land exactly on grid
+	// bandwidths, in both precisions (boundary ties with |d| = h).
+	{
+		n := 120
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i % 40)
+			y[i] = math.Sin(float64(i)/3) + 0.2*rng.NormFloat64()
+		}
+		cases = append(cases, Dataset{Name: "lattice-ties", X: x, Y: y, GridMin: 1, GridMax: 12, K: 12})
+	}
+
+	// Heavy duplicates: 200 observations on 5 distinct X values, so every
+	// window is a few long runs of equal keys.
+	{
+		n := 200
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%5) * 0.3
+			y[i] = x[i]*x[i] + 0.3*rng.NormFloat64()
+		}
+		min, max := paperRange(x, 16)
+		cases = append(cases, Dataset{Name: "heavy-duplicates", X: x, Y: y, GridMin: min, GridMax: max, K: 16})
+	}
 	return cases
 }

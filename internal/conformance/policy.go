@@ -47,6 +47,13 @@ import (
 // "boundary-ties-inexact" (decimal spacing — ties that flip sides under
 // float32 rounding).
 //
+// The window-sum sweep (the window* entries) holds |d| < h strictly for
+// the Epanechnikov and Triangular kernels, as the oracle does (their
+// weight is exactly zero at |d| = h), and |d| ≤ h for the Uniform kernel,
+// whose boundary weight is not zero. Every selector carries a kernel and
+// is compared with the naive oracle of that kernel. Datasets marked
+// Float64Only (X that float32 cannot resolve) skip the Float32 class.
+//
 // Continuum (numerical optimiser) selectors search the real line; no
 // grid index exists, and the paper's whole point is that they may land
 // on a non-global local minimum. The engine therefore checks only

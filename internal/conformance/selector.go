@@ -120,6 +120,10 @@ type Selector struct {
 	Family Family
 	// MinN is the smallest sample size the backend supports.
 	MinN int
+	// Kernel is the kernel the selector weights with; the engine checks
+	// it against the naive oracle of the same kernel. The zero value is
+	// the paper's Epanechnikov kernel.
+	Kernel kernel.Kind
 	// MinK is the smallest grid the backend supports (0 means any): the
 	// public-API adapters express the grid as a [min, max] range, which
 	// cannot describe a single-point grid, and the numerical baseline
@@ -180,6 +184,9 @@ func Registry() []Selector {
 				return bandwidth.TwoPointerGridSearchParallelContext(ctx, x, y, g, 4)
 			},
 		},
+		windowSelector("window", kernel.Epanechnikov),
+		windowSelector("window-uniform", kernel.Uniform),
+		windowSelector("window-triangular", kernel.Triangular),
 		{
 			// coord-sharded routes every dataset through a 3-replica
 			// in-process cluster (internal/coord): the grid is sharded by
@@ -188,7 +195,14 @@ func Registry() []Selector {
 			// answer equals the single-node one. See coord.go for why the
 			// shared cluster runs with its result cache disabled here.
 			Name: "coord-sharded", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: runCoordSharded,
+			Run: runCoordSharded("twopointer"),
+		},
+		{
+			// coord-sharded-window is the same cluster running the default
+			// window sweep: each bandwidth is an independent pass, so the
+			// sharded answer is the single-node one by construction.
+			Name: "coord-sharded-window", Class: Exact, Family: LocalConstant, MinN: 2,
+			Run: runCoordSharded("window"),
 		},
 		{
 			Name: "kernreg-sorted", Class: Exact, Family: LocalConstant, MinN: 2, MinK: 2,
@@ -202,6 +216,9 @@ func Registry() []Selector {
 			Name: "kernreg-naive", Class: Exact, Family: LocalConstant, MinN: 2, MinK: 2,
 			Run: runPublicAPI(kernreg.MethodNaive),
 		},
+		publicWindowSelector("kernreg-window", kernel.Epanechnikov),
+		publicWindowSelector("kernreg-window-uniform", kernel.Uniform),
+		publicWindowSelector("kernreg-window-triangular", kernel.Triangular),
 		{
 			Name: "sorted-f32", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
@@ -316,19 +333,45 @@ func Registry() []Selector {
 	}
 }
 
-// runPublicAPI adapts kernreg.SelectBandwidth to the Selector interface.
-// The engine's grids are always built with bandwidth.NewGrid over an
-// explicit [min, max], and kernreg.GridRange calls the same constructor
-// with the same arguments, so the public API runs on the bit-identical
-// grid — a prerequisite for exact index comparison.
+// windowSelector registers the window-sum sweep with one kernel.
+func windowSelector(name string, k kernel.Kind) Selector {
+	return Selector{
+		Name: name, Class: Exact, Family: LocalConstant, Kernel: k, MinN: 2,
+		Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+			return bandwidth.WindowGridSearchContext(ctx, x, y, g, k)
+		},
+	}
+}
+
+// publicWindowSelector registers the public API's default method with
+// one kernel, reached without WithMethod: the entry pins what
+// kernreg.SelectBandwidth does when the caller names no method.
+func publicWindowSelector(name string, k kernel.Kind) Selector {
+	return Selector{
+		Name: name, Class: Exact, Family: LocalConstant, Kernel: k, MinN: 2, MinK: 2,
+		Run: runPublicAPIWith(kernreg.WithKernel(k.String())),
+	}
+}
+
+// runPublicAPI adapts kernreg.SelectBandwidth with method m to the
+// Selector interface.
 func runPublicAPI(m kernreg.Method) func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+	return runPublicAPIWith(kernreg.WithMethod(m))
+}
+
+// runPublicAPIWith adapts kernreg.SelectBandwidth with the given options
+// to the Selector interface. The engine's grids are always built with
+// bandwidth.NewGrid over an explicit [min, max], and kernreg.GridRange
+// calls the same constructor with the same arguments, so the public API
+// runs on the bit-identical grid — a prerequisite for exact index
+// comparison.
+func runPublicAPIWith(opts ...kernreg.Option) func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
 	return func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-		sel, err := kernreg.SelectBandwidthContext(ctx, x, y,
-			kernreg.WithMethod(m),
+		sel, err := kernreg.SelectBandwidthContext(ctx, x, y, append(opts[:len(opts):len(opts)],
 			kernreg.GridSize(g.Len()),
 			kernreg.GridRange(g.Min(), g.Max()),
 			kernreg.KeepScores(),
-		)
+		)...)
 		if err != nil {
 			return bandwidth.Result{}, err
 		}

@@ -73,9 +73,10 @@ type Config struct {
 type Job struct {
 	X, Y []float64
 	Grid bandwidth.Grid
-	// Method is the worker-side selector: "", "sorted", "twopointer",
-	// "naive", "sorted-parallel" or "twopointer-parallel". Only the
-	// float64 host family is shardable (bit-identity per grid point).
+	// Method is the worker-side selector: "window", "sorted",
+	// "twopointer", "naive", "sorted-parallel" or "twopointer-parallel";
+	// "" means kernreg.DefaultMethod. Only the float64 host family is
+	// shardable (bit-identity per grid point).
 	Method string
 	// Kernel is the kernel name; "" means "epanechnikov".
 	Kernel string
@@ -137,21 +138,17 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
 // shardMethod validates a Job.Method and returns the kernreg.Method
-// used in the cache fingerprint.
+// used in the cache fingerprint and sent to the workers. The empty name
+// is kernreg.DefaultMethod, the same default kernregd applies.
 func shardMethod(name string) (kernreg.Method, error) {
-	switch name {
-	case "", "sorted":
-		return kernreg.MethodSorted, nil
-	case "twopointer":
-		return kernreg.MethodTwoPointer, nil
-	case "naive":
-		return kernreg.MethodNaive, nil
-	case "sorted-parallel":
-		return kernreg.MethodSortedParallel, nil
-	case "twopointer-parallel":
-		return kernreg.MethodTwoPointerParallel, nil
+	if name == "" {
+		return kernreg.DefaultMethod, nil
 	}
-	return 0, fmt.Errorf("coord: method %q is not shardable (want sorted, twopointer, naive, or a -parallel variant)", name)
+	switch name {
+	case "sorted", "twopointer", "naive", "sorted-parallel", "twopointer-parallel", "window":
+		return kernreg.ParseMethod(name)
+	}
+	return 0, fmt.Errorf("coord: method %q is not shardable (want window, sorted, twopointer, naive, or a -parallel variant)", name)
 }
 
 // Select runs one sharded selection. The result is bit-identical to
@@ -225,7 +222,7 @@ func (c *Coordinator) runSelect(ctx context.Context, job Job, method kernreg.Met
 	base := serve.ShardRequest{
 		XB64:       wire.EncodeFloat64s(job.X),
 		YB64:       wire.EncodeFloat64s(job.Y),
-		Method:     job.Method,
+		Method:     method.String(),
 		Kernel:     job.Kernel,
 		Stable:     job.Stable,
 		KeepScores: job.KeepScores,

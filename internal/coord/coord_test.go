@@ -61,7 +61,9 @@ func single(t *testing.T, job Job) bandwidth.Result {
 	)
 	ctx := context.Background()
 	switch job.Method {
-	case "", "sorted":
+	case "", "window":
+		res, err = bandwidth.WindowGridSearchContext(ctx, job.X, job.Y, job.Grid, kern)
+	case "sorted":
 		res, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
 	case "twopointer":
 		res, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
@@ -108,7 +110,7 @@ func TestSelectBitIdenticalToSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range []string{"sorted", "twopointer", "naive"} {
+	for _, method := range []string{"", "window", "sorted", "twopointer", "naive"} {
 		for _, shards := range []int{1, 2, 3} {
 			c := testCluster(t, 3, Config{Shards: shards})
 			job := Job{X: x, Y: y, Grid: g, Method: method, KeepScores: true}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bandwidth"
+	"repro/kernreg"
 )
 
 // HTTP front end for the coordinator (cmd/kerncoord). Routes:
@@ -77,7 +78,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 type SelectRequest struct {
 	X []float64 `json:"x"`
 	Y []float64 `json:"y"`
-	// Method is a shardable selector name; empty means "sorted".
+	// Method is a shardable selector name; empty means
+	// kernreg.DefaultMethod ("window").
 	Method string `json:"method,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`
@@ -168,7 +170,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	method := req.Method
 	if method == "" {
-		method = "sorted"
+		method = kernreg.DefaultMethod.String()
 	}
 	resp := SelectResponse{
 		Bandwidth: res.H,

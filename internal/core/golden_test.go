@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/data"
 	"repro/internal/kernel"
+	"repro/internal/mathx"
 )
 
 // Golden regression tests: with fixed seeds the selected grid index is a
@@ -164,6 +166,51 @@ func TestGoldenBaggedDegenerate(t *testing.T) {
 	}
 	if checked != len(goldenCases) {
 		t.Fatalf("checked %d twopointer baseline entries, want %d — baseline layout changed", checked, len(goldenCases))
+	}
+}
+
+// TestGoldenWindow guards the window-sum sweep — the default selector —
+// against the stored baseline without adding entries to it: on every
+// golden case it must select the stored "sorted" grid point bit for bit
+// (index and h) and reproduce the stored CV within the conformance
+// Exact-class tolerance. The window sums re-associate the objective, so
+// CV may differ from the sorted sweep's by rounding, never by more.
+func TestGoldenWindow(t *testing.T) {
+	const exactCVTol = 1e-9 // conformance policy, Exact class
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatalf("missing golden baseline: %v", err)
+	}
+	var want []goldenEntry
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("corrupt golden baseline: %v", err)
+	}
+	checked := 0
+	for _, w := range want {
+		if w.Selector != "sorted" {
+			continue
+		}
+		d := data.GeneratePaper(w.N, w.Seed)
+		g, err := bandwidth.DefaultGrid(d.X, w.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := bandwidth.WindowGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Index != w.Index || math.Float64bits(r.H) != math.Float64bits(w.H) {
+			t.Errorf("n=%d k=%d seed=%d: window selected index=%d h=%v, stored sorted index=%d h=%v",
+				w.N, w.K, w.Seed, r.Index, r.H, w.Index, w.H)
+		}
+		if rd := mathx.RelDiff(r.CV, w.CV); rd > exactCVTol {
+			t.Errorf("n=%d k=%d seed=%d: window CV %v differs from stored sorted CV %v by %g (> %g)",
+				w.N, w.K, w.Seed, r.CV, w.CV, rd, exactCVTol)
+		}
+		checked++
+	}
+	if checked != len(goldenCases) {
+		t.Fatalf("checked %d sorted baseline entries, want %d — baseline layout changed", checked, len(goldenCases))
 	}
 }
 

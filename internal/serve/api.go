@@ -31,7 +31,7 @@ type SelectRequest struct {
 	X []float64 `json:"x"`
 	Y []float64 `json:"y"`
 	// Method names the search algorithm (kernreg.ParseMethod); empty
-	// means "sorted".
+	// means kernreg.DefaultMethod ("window").
 	Method string `json:"method,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`
@@ -97,7 +97,7 @@ type SelectResponse struct {
 type FitPredictRequest struct {
 	X []float64 `json:"x"`
 	Y []float64 `json:"y"`
-	// Bandwidth fixes h; 0 selects it first with the sorted search.
+	// Bandwidth fixes h; 0 selects it first with kernreg.DefaultMethod.
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`

@@ -113,6 +113,7 @@ func FuzzSelectRequestDecode(f *testing.F) {
 				"sorted": true, "sorted-parallel": true, "sorted-f32": true,
 				"naive": true, "numerical": true, "gpu": true, "gpu-tiled": true,
 				"twopointer": true, "twopointer-parallel": true, "twopointer-f32": true,
+				"window": true,
 			}
 			if !valid[req.Method] {
 				t.Fatalf("accepted unknown method %q", req.Method)

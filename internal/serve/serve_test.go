@@ -78,7 +78,7 @@ func TestSelectEndpointMatchesDirectCall(t *testing.T) {
 	if got.CV == nil || *got.CV != want.CV {
 		t.Fatalf("served CV %v differs from direct %g", got.CV, want.CV)
 	}
-	if got.Method != "sorted" || got.N != 128 {
+	if got.Method != kernreg.DefaultMethod.String() || got.N != 128 {
 		t.Fatalf("unexpected metadata: %+v", got)
 	}
 }

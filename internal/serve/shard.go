@@ -9,6 +9,7 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/kernel"
 	"repro/internal/wire"
+	"repro/kernreg"
 )
 
 // Shard protocol: the coordinator splits one selection's candidate grid
@@ -35,9 +36,9 @@ type ShardRequest struct {
 	XB64    string `json:"x_b64"`
 	YB64    string `json:"y_b64"`
 	GridB64 string `json:"grid_b64"`
-	// Method names the float64 host selector to run ("sorted",
-	// "twopointer", "naive", "sorted-parallel", "twopointer-parallel");
-	// empty means "sorted".
+	// Method names the float64 host selector to run ("window",
+	// "sorted", "twopointer", "naive", "sorted-parallel",
+	// "twopointer-parallel"); empty means kernreg.DefaultMethod.
 	Method string `json:"method,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`
@@ -84,10 +85,18 @@ type LoadResponse struct {
 // is bit-identity with the single-node answer, which the compensated
 // sweep guarantees per grid point (each candidate's accumulator state
 // depends only on the data and that candidate, never on which other
-// candidates share the grid).
+// candidates share the grid). The window sweep holds it by construction:
+// each bandwidth is an independent pass over the sorted sample.
 func shardSelector(method string) (func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error), *httpError) {
+	if method == "" {
+		method = kernreg.DefaultMethod.String()
+	}
 	switch method {
-	case "", "sorted":
+	case "window":
+		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, _ bandwidth.Stability) (bandwidth.Result, error) {
+			return bandwidth.WindowGridSearchContext(ctx, x, y, g, k)
+		}, nil
+	case "sorted":
 		return bandwidth.SortedGridSearchKernelStabilityContext, nil
 	case "twopointer":
 		return bandwidth.TwoPointerGridSearchKernelStabilityContext, nil
@@ -110,7 +119,7 @@ func shardSelector(method string) (func(ctx context.Context, x, y []float64, g b
 			return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, 0, st)
 		}, nil
 	}
-	return nil, badRequest("method %q is not shardable (want sorted, twopointer, naive, or a -parallel variant)", method)
+	return nil, badRequest("method %q is not shardable (want window, sorted, twopointer, naive, or a -parallel variant)", method)
 }
 
 // decodeShardRequest parses and validates a /v1/shard body. All

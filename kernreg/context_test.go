@@ -25,7 +25,7 @@ func ctxSample(n int) (x, y []float64) {
 
 // ctxMethods are the methods cancellation must reach; estimator and
 // criterion variants ride the same dispatch.
-var ctxMethods = []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled}
+var ctxMethods = []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodWindow}
 
 func TestSelectBandwidthContextPreCancelled(t *testing.T) {
 	x, y := ctxSample(64)

@@ -22,7 +22,7 @@ func TestParseMethodRejectsUnknown(t *testing.T) {
 }
 
 func TestParseMethodRoundTrips(t *testing.T) {
-	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged} {
+	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged, MethodWindow} {
 		got, err := ParseMethod(m.String())
 		if err != nil {
 			t.Errorf("ParseMethod(%q): %v", m.String(), err)
@@ -38,7 +38,7 @@ func TestParseMethodRoundTrips(t *testing.T) {
 
 // allMethods enumerates every search algorithm for the input-rejection
 // sweep.
-var allMethods = []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged}
+var allMethods = []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged, MethodWindow}
 
 func TestSelectBandwidthRejectsTooFewObservations(t *testing.T) {
 	cases := map[string][2][]float64{
@@ -117,7 +117,7 @@ func TestSelectBandwidthMethodKernelMismatch(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	// The gaussian kernel has unbounded support: the sorted methods and
 	// the device pipelines must reject it, the naive method accepts it.
-	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodGPU, MethodGPUTiled} {
+	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodGPU, MethodGPUTiled, MethodWindow} {
 		if _, err := SelectBandwidth(x, y, WithMethod(m), WithKernel("gaussian")); err == nil {
 			t.Errorf("method %v accepted the gaussian kernel", m)
 		}

@@ -8,8 +8,8 @@ import (
 )
 
 // ExampleSelectBandwidth reproduces the library's core loop: generate the
-// paper's synthetic data, select the CV-optimal bandwidth with the sorted
-// fast grid search, and fit the regression.
+// paper's synthetic data, select the CV-optimal bandwidth with the default
+// fast grid search (the window-sum sweep), and fit the regression.
 func ExampleSelectBandwidth() {
 	d := data.GeneratePaper(500, 42)
 	sel, err := kernreg.SelectBandwidth(d.X, d.Y, kernreg.GridSize(50))

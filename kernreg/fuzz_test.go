@@ -29,6 +29,7 @@ var fuzzMethods = []kernreg.Method{
 	kernreg.MethodTwoPointerParallel,
 	kernreg.MethodTwoPointerF32,
 	kernreg.MethodBagged,
+	kernreg.MethodWindow,
 }
 
 // encodeSample packs up to max (x, y) pairs as little-endian float64

@@ -4,12 +4,19 @@
 // "Optimal Bandwidth Selection for Kernel Regression Using a Fast Grid
 // Search and a GPU" (IPPS 2017).
 //
-// The default selector is the paper's sorted incremental grid search:
-// exact over the grid (no numerical-optimisation local minima) at
-// O(n² log n) for the whole grid rather than the naive O(k·n²). Method
-// options expose the naive search, the numerical optimiser the paper
-// criticises, a goroutine-parallel search, and the paper's CUDA program
-// executed on a simulated GPU.
+// The default selector (DefaultMethod) is the window-sum sweep: exact
+// over the grid (no numerical-optimisation local minima) at
+// O(n log n + k·n) for the whole grid — one global sort, then one O(n)
+// pass of sliding window sums per bandwidth (Langrené & Warin's fast
+// sum updating). Its window sums are re-anchored within one bandwidth of
+// each observation, so its rounding stays a fixed small multiple of
+// ε·m·h² regardless of the spread of X or an offset on it (the bound is
+// derived in internal/bandwidth/window.go). MethodSorted remains the
+// double-precision reproduction of the paper's Program 3, the
+// incremental grid search at O(n² log n). Method options also expose
+// the naive search, the numerical optimiser the paper criticises,
+// goroutine-parallel searches, and the paper's CUDA program executed on
+// a simulated GPU.
 //
 //	sel, err := kernreg.SelectBandwidth(x, y, kernreg.GridSize(50))
 //	reg, err := kernreg.Fit(x, y, sel.Bandwidth)
@@ -35,7 +42,8 @@ type Method int
 
 const (
 	// MethodSorted is the paper's sorted incremental grid search
-	// (double precision). The default.
+	// (double precision): Program 3's algorithm without the float32
+	// narrowing.
 	MethodSorted Method = iota
 	// MethodSortedParallel fans the sorted search across goroutines.
 	MethodSortedParallel
@@ -75,7 +83,19 @@ const (
 	// (or n ≤ 512 under the defaults) it degenerates to MethodTwoPointer
 	// bit-identically.
 	MethodBagged
+	// MethodWindow is the window-sum sweep: one global sort, then one
+	// O(n) pass of sliding window sums per bandwidth, O(n log n + k·n)
+	// in all. Exact over the grid for the Epanechnikov, Uniform and
+	// Triangular kernels. The default (DefaultMethod).
+	MethodWindow
 )
+
+// DefaultMethod is the search SelectBandwidth runs when no WithMethod
+// option is given, and the method kernregd, kerncoord and /v1/shard run
+// for an empty method name. The local-linear estimator and the AICc
+// criterion, which the window sweep does not cover, fall back to
+// MethodSorted when no method is given.
+const DefaultMethod = MethodWindow
 
 // String returns the method name.
 func (m Method) String() string {
@@ -102,6 +122,8 @@ func (m Method) String() string {
 		return "twopointer-f32"
 	case MethodBagged:
 		return "bagged"
+	case MethodWindow:
+		return "window"
 	default:
 		return fmt.Sprintf("kernreg.Method(%d)", int(m))
 	}
@@ -109,7 +131,7 @@ func (m Method) String() string {
 
 // ParseMethod returns the Method named by s.
 func ParseMethod(s string) (Method, error) {
-	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged} {
+	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged, MethodWindow} {
 		if m.String() == s {
 			return m, nil
 		}
@@ -125,6 +147,7 @@ var configPool = sync.Pool{New: func() any { return new(config) }}
 // config collects the selection options.
 type config struct {
 	method     Method
+	methodSet  bool
 	kern       kernel.Kind
 	estimator  Estimator
 	criterion  Criterion
@@ -163,7 +186,7 @@ type Option func(*config) error
 
 // WithMethod selects the search algorithm.
 func WithMethod(m Method) Option {
-	return func(c *config) error { c.method = m; return nil }
+	return func(c *config) error { c.method, c.methodSet = m, true; return nil }
 }
 
 // WithKernel selects the kernel weighting function by name
@@ -297,7 +320,9 @@ func KeepScores() Option {
 // restores the paper's plain accumulation, bit-faithful to the original
 // C/CUDA programs — useful for ablation and agreement studies.
 // MethodNaive and MethodNumerical re-evaluate the objective from scratch
-// at every bandwidth (no running sums), so the flag is a no-op there.
+// at every bandwidth (no running sums), so the flag is a no-op there,
+// and MethodWindow has a single arithmetic — compensated, re-anchored
+// window sums — so it ignores the flag too.
 func Stable(on bool) Option {
 	return func(c *config) error { c.stable = on; return nil }
 }
@@ -339,7 +364,7 @@ type Selection struct {
 
 // SelectBandwidth chooses the CV-optimal bandwidth for a Nadaraya–Watson
 // regression of y on x. Defaults: Epanechnikov kernel, 50-point grid over
-// the paper's default range, sorted grid search.
+// the paper's default range, DefaultMethod.
 func SelectBandwidth(x, y []float64, opts ...Option) (Selection, error) {
 	return SelectBandwidthContext(context.Background(), x, y, opts...)
 }
@@ -358,7 +383,7 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 	}
 	cp := configPool.Get().(*config)
 	defer configPool.Put(cp)
-	*cp = config{method: MethodSorted, kern: kernel.Epanechnikov, gridSize: 50, stable: true}
+	*cp = config{method: DefaultMethod, kern: kernel.Epanechnikov, gridSize: 50, stable: true}
 	for _, opt := range opts {
 		if err := opt(cp); err != nil {
 			return Selection{}, err
@@ -373,6 +398,9 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 	}
 	if c.method != MethodBagged && c.bagOptsSet() {
 		return Selection{}, fmt.Errorf("kernreg: Bags, BagSize and Seed apply to MethodBagged only, not %v", c.method)
+	}
+	if !c.methodSet && (c.estimator == LocalLinear || c.criterion == CriterionAICc) {
+		c.method = MethodSorted
 	}
 	if c.estimator == LocalLinear {
 		if c.criterion != CriterionCV {
@@ -446,6 +474,8 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 		} else {
 			r, err = core.TwoPointerSequentialUncompensatedContext(ctx, x, y, g)
 		}
+	case MethodWindow:
+		r, err = bandwidth.WindowGridSearchContext(ctx, x, y, g, c.kern)
 	case MethodBagged:
 		var br bandwidth.BaggedResult
 		br, err = bandwidth.BaggedGridSearchContext(ctx, x, y, g, c.kern, bandwidth.BaggedOptions{

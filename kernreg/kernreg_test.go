@@ -24,8 +24,8 @@ func TestSelectBandwidthDefaults(t *testing.T) {
 	if len(sel.Grid) != 50 {
 		t.Errorf("default grid size = %d, want 50", len(sel.Grid))
 	}
-	if sel.Method != MethodSorted {
-		t.Error("default method should be sorted")
+	if sel.Method != DefaultMethod || DefaultMethod != MethodWindow {
+		t.Errorf("default method = %v, want the window sweep", sel.Method)
 	}
 	if sel.Grid[sel.Index] != sel.Bandwidth {
 		t.Error("bandwidth misaligned with grid index")
@@ -41,13 +41,13 @@ func TestAllGridMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{MethodSortedParallel, MethodSortedF32, MethodNaive, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32} {
+	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32} {
 		sel, err := SelectBandwidth(x, y, GridSize(25), WithMethod(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		if sel.Index != base.Index {
-			t.Errorf("%v selected index %d, sorted selected %d", m, sel.Index, base.Index)
+			t.Errorf("%v selected index %d, the default method selected %d", m, sel.Index, base.Index)
 		}
 	}
 }
