@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
 
 	"repro/internal/bandwidth"
+	"repro/internal/serve"
 	"repro/kernreg"
 )
 
@@ -109,10 +109,8 @@ type SelectResponse struct {
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req SelectRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 512<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("invalid JSON body: %v", err), http.StatusBadRequest)
+	if status, err := serve.DecodeRequest(w, r, serve.BodyLimit(2*s.cfg.MaxN), s.cfg.MaxN, &req); err != nil {
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if len(req.X) != len(req.Y) {

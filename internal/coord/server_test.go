@@ -97,3 +97,37 @@ func TestServerRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRejectsRawBodies covers bodies the coordinator used to
+// accept: data after the object, a body over the byte limit (64 KiB +
+// 32 bytes for each float of x and y at MaxN), and a null element.
+func TestServerRejectsRawBodies(t *testing.T) {
+	c := testCluster(t, 2, Config{})
+	s := NewServer(c, ServerConfig{MaxN: 64})
+	x, y := testData(10, 22)
+	valid, err := json.Marshal(SelectRequest{X: x, Y: y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := append(append([]byte{}, valid[:len(valid)-1]...), bytes.Repeat([]byte(" "), 64<<10+32*2*64)...)
+	over = append(over, '}')
+	cases := []struct {
+		name string
+		body []byte
+		code int
+	}{
+		{"valid", valid, 200},
+		{"trailing object", append(append([]byte{}, valid...), `{}`...), 400},
+		{"trailing brace", append(append([]byte{}, valid...), '}'), 400},
+		{"over the byte limit", over, 413},
+		{"null element", []byte(`{"x":[1,null,3],"y":[1,2,3]}`), 400},
+		{"upper-case key", []byte(`{"X":[1,2,3],"y":[1,2,3]}`), 400},
+	}
+	for _, tc := range cases {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/select", bytes.NewReader(tc.body)))
+		if w.Code != tc.code {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.code, w.Body.String())
+		}
+	}
+}

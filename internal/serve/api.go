@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -132,19 +131,6 @@ func tooLarge(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON decodes exactly one strict JSON object from body.
-func decodeJSON(body io.Reader, dst any) *httpError {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequest("invalid JSON body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("invalid JSON body: trailing data after object")
-	}
-	return nil
-}
-
 // checkSample validates the common x/y constraints against the limits.
 func checkSample(x, y []float64, cfg Config) *httpError {
 	if len(x) != len(y) {
@@ -171,9 +157,12 @@ func checkSample(x, y []float64, cfg Config) *httpError {
 
 // decodeSelectRequest parses and validates a /v1/select body, returning
 // the kernreg options it maps to. All failures are 4xx by construction.
-func decodeSelectRequest(body io.Reader, cfg Config) (*SelectRequest, []kernreg.Option, *httpError) {
+// The body limit admits x and y at MaxN observations, or an mv
+// request's x_matrix and y at the mv limits, whichever is larger.
+func decodeSelectRequest(w http.ResponseWriter, r *http.Request, cfg Config) (*SelectRequest, []kernreg.Option, *httpError) {
 	var req SelectRequest
-	if herr := decodeJSON(body, &req); herr != nil {
+	limit := BodyLimit(max(2*cfg.MaxN, (mvMaxDim+1)*mvMaxN))
+	if herr := decodeRequest(w, r, limit, max(cfg.MaxN, mvMaxN), &req); herr != nil {
 		return nil, nil, herr
 	}
 	if req.Method == "mv" {
@@ -285,10 +274,11 @@ func decodeSelectRequest(body io.Reader, cfg Config) (*SelectRequest, []kernreg.
 // way n² does and needs its own admission limit.
 const maxBags = 256
 
-// decodeFitPredictRequest parses and validates a /v1/fit-predict body.
-func decodeFitPredictRequest(body io.Reader, cfg Config) (*FitPredictRequest, *httpError) {
+// decodeFitPredictRequest parses and validates a /v1/fit-predict body,
+// whose limit admits x, y and points at MaxN elements each.
+func decodeFitPredictRequest(w http.ResponseWriter, r *http.Request, cfg Config) (*FitPredictRequest, *httpError) {
 	var req FitPredictRequest
-	if herr := decodeJSON(body, &req); herr != nil {
+	if herr := decodeRequest(w, r, BodyLimit(3*cfg.MaxN), cfg.MaxN, &req); herr != nil {
 		return nil, herr
 	}
 	if herr := checkSample(req.X, req.Y, cfg); herr != nil {
@@ -371,7 +361,7 @@ func (s *Server) runJob(w http.ResponseWriter, r *http.Request, method string, f
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	req, opts, herr := decodeSelectRequest(r.Body, s.cfg)
+	req, opts, herr := decodeSelectRequest(w, r, s.cfg)
 	if herr != nil {
 		s.metrics.IncRejected()
 		http.Error(w, herr.msg, herr.status)
@@ -413,7 +403,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFitPredict(w http.ResponseWriter, r *http.Request) {
-	req, herr := decodeFitPredictRequest(r.Body, s.cfg)
+	req, herr := decodeFitPredictRequest(w, r, s.cfg)
 	if herr != nil {
 		s.metrics.IncRejected()
 		http.Error(w, herr.msg, herr.status)

@@ -90,7 +90,7 @@ func TestBaggedRequestErrorMessages(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, herr := decodeSelectRequest(strings.NewReader(tc.body), cfg)
+			_, _, herr := decodeSelectRequest(nil, httptest.NewRequest(http.MethodPost, "/v1/select", strings.NewReader(tc.body)), cfg)
 			if tc.wantStatus == 0 {
 				if herr != nil {
 					t.Fatalf("decode = %q, want nil", herr.msg)

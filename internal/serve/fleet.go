@@ -108,7 +108,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req InjectRequest
-	if herr := decodeJSON(r.Body, &req); herr != nil {
+	if herr := decodeRequest(w, r, BodyLimit(0), 0, &req); herr != nil {
 		s.metrics.IncRejected()
 		http.Error(w, herr.msg, herr.status)
 		return

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func FuzzSelectRequestDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, _, herr := decodeSelectRequest(bytes.NewReader(data), cfg)
+		req, _, herr := decodeSelectRequest(nil, httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(data)), cfg)
 		if herr != nil {
 			if herr.status < 400 || herr.status >= 500 {
 				t.Fatalf("decode error %q carries status %d, want 4xx", herr.msg, herr.status)

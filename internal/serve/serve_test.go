@@ -230,6 +230,7 @@ func TestMalformedBodiesAre4xx(t *testing.T) {
 		{"not-json", `hello`, http.StatusBadRequest},
 		{"wrong-type", `{"x": "abc"}`, http.StatusBadRequest},
 		{"nan-literal", `{"x":[NaN,1],"y":[1,2]}`, http.StatusBadRequest},
+		{"null-element", `{"x":[1,null,3],"y":[1,2,3]}`, http.StatusBadRequest},
 		{"unknown-field", `{"x":[1,2],"y":[1,2],"bogus":1}`, http.StatusBadRequest},
 		{"trailing-garbage", `{"x":[1,2],"y":[1,2]}{}`, http.StatusBadRequest},
 		{"length-mismatch", `{"x":[1,2,3],"y":[1,2]}`, http.StatusBadRequest},

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -122,11 +121,12 @@ func shardSelector(method string) (func(ctx context.Context, x, y []float64, g b
 	return nil, badRequest("method %q is not shardable (want window, sorted, twopointer, naive, or a -parallel variant)", method)
 }
 
-// decodeShardRequest parses and validates a /v1/shard body. All
-// failures are 4xx by construction.
-func decodeShardRequest(body io.Reader, cfg Config) (*ShardRequest, []float64, []float64, bandwidth.Grid, *httpError) {
+// decodeShardRequest parses and validates a /v1/shard body, whose
+// limit admits x and y at MaxN observations and a grid of MaxGrid
+// points. All failures are 4xx by construction.
+func decodeShardRequest(w http.ResponseWriter, r *http.Request, cfg Config) (*ShardRequest, []float64, []float64, bandwidth.Grid, *httpError) {
 	var req ShardRequest
-	if herr := decodeJSON(body, &req); herr != nil {
+	if herr := decodeRequest(w, r, BodyLimit(2*cfg.MaxN+cfg.MaxGrid), cfg.MaxN, &req); herr != nil {
 		return nil, nil, nil, bandwidth.Grid{}, herr
 	}
 	x, err := wire.DecodeFloat64s(req.XB64)
@@ -166,7 +166,7 @@ func decodeShardRequest(body io.Reader, cfg Config) (*ShardRequest, []float64, [
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	req, x, y, g, herr := decodeShardRequest(r.Body, s.cfg)
+	req, x, y, g, herr := decodeShardRequest(w, r, s.cfg)
 	if herr != nil {
 		s.metrics.IncRejected()
 		http.Error(w, herr.msg, herr.status)

@@ -144,7 +144,7 @@ func TestShardRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, herr := decodeShardRequest(strings.NewReader(string(b)), cfg)
+		_, _, _, _, herr := decodeShardRequest(nil, httptest.NewRequest(http.MethodPost, "/v1/shard", strings.NewReader(string(b))), cfg)
 		if herr == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
