@@ -62,7 +62,7 @@ func BenchmarkTableI_P1_Numerical(b *testing.B) {
 			d, _ := setup(b, n, benchK)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := baselines.SelectNumerical(d.X, d.Y, baselines.Options{}); err != nil {
+				if _, err := baselines.SelectNumerical(context.Background(), d.X, d.Y, baselines.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkTableI_P2_Multicore(b *testing.B) {
 			d, _ := setup(b, n, benchK)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := baselines.SelectNumericalParallel(d.X, d.Y, baselines.Options{}); err != nil {
+				if _, err := baselines.SelectNumericalParallel(context.Background(), d.X, d.Y, baselines.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +94,7 @@ func BenchmarkTableI_P3_SequentialC(b *testing.B) {
 			d, g := setup(b, n, benchK)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SortedSequential(d.X, d.Y, g); err != nil {
+				if _, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,14 +136,14 @@ func BenchmarkTableI_GoNative(b *testing.B) {
 		d, g := setup(b, n, benchK)
 		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+				if _, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.SortedGridSearchParallel(d.X, d.Y, g, 0); err != nil {
+				if _, err := bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, 0, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,14 +163,14 @@ func BenchmarkSortedContextOverhead(b *testing.B) {
 	defer cancel()
 	b.Run(fmt.Sprintf("live-ctx/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchKernelContext(ctx, d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.SortedGridSearch(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("background/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -187,28 +187,28 @@ func BenchmarkCompensatedOverhead(b *testing.B) {
 	ctx := context.Background()
 	b.Run(fmt.Sprintf("f64-compensated/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
+			if _, err := bandwidth.SortedGridSearch(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("f64-uncompensated/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Uncompensated); err != nil {
+			if _, err := bandwidth.SortedGridSearch(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Uncompensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("f32-compensated/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SortedSequential(d.X, d.Y, g); err != nil {
+			if _, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("f32-uncompensated/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SortedSequentialUncompensated(d.X, d.Y, g); err != nil {
+			if _, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Uncompensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -232,7 +232,7 @@ func BenchmarkTableIIA(b *testing.B) {
 				d, g := setup(b, n, k)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.SortedSequential(d.X, d.Y, g); err != nil {
+					if _, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -273,14 +273,14 @@ func BenchmarkAblation_SortedVsNaive(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,21 +294,21 @@ func BenchmarkAblation_GridVsOptim(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("optim-1-start", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baselines.SelectNumerical(d.X, d.Y, baselines.Options{}); err != nil {
+			if _, err := baselines.SelectNumerical(context.Background(), d.X, d.Y, baselines.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("optim-8-starts", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baselines.SelectNumerical(d.X, d.Y, baselines.Options{Starts: 8}); err != nil {
+			if _, err := baselines.SelectNumerical(context.Background(), d.X, d.Y, baselines.Options{Starts: 8}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sorted-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -361,7 +361,7 @@ func BenchmarkAblation_IndexSwitch(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var model, reduce float64
 			for i := 0; i < b.N; i++ {
-				_, rep, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{NoIndexSwitch: cfg.noSwitch})
+				_, rep, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{NoIndexSwitch: cfg.noSwitch})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -446,7 +446,7 @@ func BenchmarkGPUFunctional(b *testing.B) {
 			d, g := setup(b, n, benchK)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{}); err != nil {
+				if _, _, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -107,7 +108,7 @@ func measureMV(seed int64, maxN int) (mvReport, error) {
 			return rep, err
 		}
 		// Correctness gate before timing.
-		fast, err := mvreg.MeshSearch(s, grids, kernel.Epanechnikov)
+		fast, err := mvreg.MeshSearch(context.Background(), s, grids, kernel.Epanechnikov)
 		if err != nil {
 			return rep, err
 		}
@@ -130,7 +131,7 @@ func measureMV(seed int64, maxN int) (mvReport, error) {
 		}{
 			{"naive-mesh", naiveMeshSearch},
 			{"fast-sweep", func(s mvreg.Sample, grids [][]float64) (mvreg.Result, error) {
-				return mvreg.MeshSearch(s, grids, kernel.Epanechnikov)
+				return mvreg.MeshSearch(context.Background(), s, grids, kernel.Epanechnikov)
 			}},
 		} {
 			run := algo.run

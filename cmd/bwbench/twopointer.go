@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/data"
+	"repro/internal/kernel"
 )
 
 // The -twopointer mode: a machine-readable head-to-head of the sorted
@@ -56,7 +58,7 @@ func measureTwoPointer(seed int64) (twoPointerReport, error) {
 			var sortedNs int64
 			for _, algo := range []struct {
 				name string
-				run  func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error)
+				run  func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error)
 			}{
 				{"sorted", bandwidth.SortedGridSearch},
 				{"twopointer", bandwidth.TwoPointerGridSearch},
@@ -65,7 +67,7 @@ func measureTwoPointer(seed int64) (twoPointerReport, error) {
 				res := testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := run(d.X, d.Y, g); err != nil {
+						if _, err := run(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -123,7 +124,7 @@ func measureWindow(seed int64, maxN int) (windowReport, error) {
 			return rep, err
 		}
 		win, err := benchSelect(n, k, "window", func() (bandwidth.Result, error) {
-			return bandwidth.WindowGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+			return bandwidth.WindowGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 		})
 		if err != nil {
 			return rep, err
@@ -131,12 +132,12 @@ func measureWindow(seed int64, maxN int) (windowReport, error) {
 		var other windowCell
 		if n == windowSizes[0] {
 			other, err = benchSelect(n, k, "twopointer", func() (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchKernel(d.X, d.Y, g, kernel.Epanechnikov)
+				return bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 			})
 		} else {
 			opt := bandwidth.BaggedOptions{Bags: bandwidth.DefaultBags, BagSize: bandwidth.DefaultBagSize(n), Seed: uint64(seed)}
 			other, err = benchSelect(n, k, "bagged", func() (bandwidth.Result, error) {
-				br, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov, opt)
+				br, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, opt)
 				return br.Result, err
 			})
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bwgrid [-in data.csv | -dgp paper -n 1000 -seed 42]
-//	       [-method sorted|sorted-parallel|sorted-f32|naive|numerical|gpu]
+//	       [-method name] (any kernreg method; -h lists them; empty = library default)
 //	       [-kernel epanechnikov] [-k 50] [-hmin 0] [-hmax 0]
 //	       [-scores] [-fit out.csv] [-points 100]
 //
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/data"
@@ -31,13 +32,22 @@ func main() {
 	}
 }
 
+// methodNames lists every kernreg method, '|'-separated.
+func methodNames() string {
+	var names []string
+	for _, m := range kernreg.Methods() {
+		names = append(names, m.String())
+	}
+	return strings.Join(names, "|")
+}
+
 func run() error {
 	var (
 		in      = flag.String("in", "", "two-column CSV input (x,y); empty uses -dgp")
 		dgp     = flag.String("dgp", "paper", "synthetic DGP: paper|sine|step|hetero|linear|clustered")
 		n       = flag.Int("n", 1000, "synthetic sample size")
 		seed    = flag.Int64("seed", 42, "synthetic data seed")
-		method  = flag.String("method", "sorted", "selection method: sorted|sorted-parallel|sorted-f32|naive|numerical|gpu")
+		method  = flag.String("method", "", "selection method: "+methodNames()+" (empty = the library default, "+kernreg.DefaultMethod.String()+")")
 		esttype = flag.String("estimator", "lc", "regression type: lc (local constant) or ll (local linear)")
 		crit    = flag.String("criterion", "cv.ls", "selection objective: cv.ls (least-squares CV) or cv.aic (corrected AIC)")
 		kern    = flag.String("kernel", "epanechnikov", "kernel weighting function")
@@ -68,15 +78,17 @@ func run() error {
 		fmt.Printf("generated %d observations from the %q DGP (seed %d)\n", ds.Len(), *dgp, *seed)
 	}
 
-	m, err := kernreg.ParseMethod(*method)
-	if err != nil {
-		return err
-	}
 	opts := []kernreg.Option{
-		kernreg.WithMethod(m),
 		kernreg.WithKernel(*kern),
 		kernreg.GridSize(*k),
 		kernreg.Workers(*workers),
+	}
+	if *method != "" {
+		m, err := kernreg.ParseMethod(*method)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, kernreg.WithMethod(m))
 	}
 	switch *esttype {
 	case "lc":

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, rep, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{KeepScores: false})
+	res, rep, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{KeepScores: false})
 	if err != nil {
 		return err
 	}
@@ -165,7 +166,7 @@ func run() error {
 	}
 
 	// Cross-check against the sequential program, as §IV.C prescribes.
-	seq, err := core.SortedSequential(d.X, d.Y, g)
+	seq, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,8 @@
 //   - bitexact: //kernvet:bitexact code stays deterministic (no map
 //     ranges, completion-order collection, clock/rand, float ==)
 //   - compsum: compensated sweep sums
-//   - ctxpoll: exported ...Context functions poll or propagate ctx
+//   - ctxpoll: exported context-first (or ...Context) functions poll
+//     or propagate ctx
 //   - errdiscipline: errors matched with errors.Is/As and wrapped with
 //     %w, never ==, type assertions, or string matching
 //   - goleak: goroutines in exported APIs joined or context-bound

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 )
 
 func main() {
@@ -24,15 +26,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	host, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	host, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		log.Fatal(err)
 	}
-	seqC, err := core.SortedSequential(d.X, d.Y, g)
+	seqC, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gpuRes, rep, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{})
+	gpuRes, rep, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, _, err = core.SelectGPU(d.X, d.Y, grid, core.GPUOptions{})
+		res, _, err = core.SelectGPU(context.Background(), d.X, d.Y, grid, core.GPUOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

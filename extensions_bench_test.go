@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -25,14 +26,14 @@ func BenchmarkExtension_LocalLinearCV(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchLocalLinear(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchLocalLinear(context.Background(), d.X, d.Y, g, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearchLocalLinear(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearchLocalLinear(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -56,14 +57,14 @@ func BenchmarkExtension_Multivariate(b *testing.B) {
 	}
 	b.Run("mesh-100-cells", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mvreg.MeshSearch(s, grids, kernel.Epanechnikov); err != nil {
+			if _, err := mvreg.MeshSearch(context.Background(), s, grids, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("coordinate-descent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mvreg.CoordinateDescent(s, grids, 0); err != nil {
+			if _, err := mvreg.CoordinateDescent(context.Background(), s, grids, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -124,14 +125,14 @@ func BenchmarkExtension_TiledFunctional(b *testing.B) {
 	d, g := setup(b, 500, benchK)
 	b.Run("untiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{}); err != nil {
+			if _, _, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("tiled-chunk-128", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := core.SelectGPUTiled(d.X, d.Y, g, core.TiledOptions{ChunkSize: 128}); err != nil {
+			if _, _, _, err := core.SelectGPUTiled(context.Background(), d.X, d.Y, g, core.TiledOptions{ChunkSize: 128}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,14 +145,14 @@ func BenchmarkExtension_AICc(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchAICc(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchAICc(context.Background(), d.X, d.Y, g); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearchAICc(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearchAICc(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}

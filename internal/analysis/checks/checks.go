@@ -12,8 +12,9 @@
 //     contract).
 //   - compsum: running float sums in sweep loops must be compensated
 //     (the PR 3 stability layer).
-//   - ctxpoll: exported ...Context entry points must actually poll or
-//     propagate their context, and keep a non-Context sibling (PR 2).
+//   - ctxpoll: exported functions and methods that take a context
+//     first (or are named ...Context) must actually poll or propagate
+//     it and never swap in context.Background().
 //   - errdiscipline: sentinel and typed errors flow through
 //     errors.Is/As and %w wrapping, never ==, type assertions, or
 //     string matching (the typed-error families of PRs 7–9).

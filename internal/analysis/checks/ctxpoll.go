@@ -9,130 +9,88 @@ import (
 	"repro/internal/analysis"
 )
 
-// Ctxpoll enforces the context-plumbing contract of PR 2: every
-// exported function whose name ends in "Context"
+// Ctxpoll enforces the context-plumbing contract. Every exported
+// function or method whose first parameter is a context.Context — the
+// one form a cancellable entry point takes, with no ...Context suffix
+// and no context-free twin required —
 //
-//   - takes a context.Context parameter,
+//   - names that parameter (an unnamed context can never be polled),
 //   - actually observes it — referencing ctx.Err/ctx.Done/ctx.Deadline
 //     or passing ctx onward (as a call argument, struct field, or
-//     return value); a ...Context entry point that never looks at its
-//     context silently loses cancellation for every caller,
+//     return value); an entry point that never looks at its context
+//     silently loses cancellation for every caller, and
 //   - never replaces the caller's context with context.Background()/
-//     context.TODO(), and
-//   - keeps its non-Context sibling (the same name minus the suffix) in
-//     the package, and that sibling must not itself take a
-//     context.Context — it would shadow the Context variant and invite
-//     callers to bypass the convention.
+//     context.TODO().
+//
+// An exported function whose name ends in "Context" promises a context
+// parameter: it is flagged if it has none, and audited as above
+// wherever its context.Context parameter sits.
 var Ctxpoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "exported ...Context functions must poll or propagate ctx and keep a non-Context sibling",
+	Doc:  "exported functions taking a context.Context first (or named ...Context) must poll or propagate it and never discard it",
 	Run:  runCtxpoll,
 }
 
 func runCtxpoll(pass *analysis.Pass) {
-	// Index every function declaration for the sibling check;
-	// methods are keyed by receiver type so siblings must share it.
-	decls := make(map[string]*ast.FuncDecl)
-	for _, f := range pass.Files() {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				decls[funcKey(fd)] = fd
-			}
-		}
-	}
 	for _, f := range pass.Files() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
+			if !ok || !ast.IsExported(fd.Name.Name) {
 				continue
 			}
 			name := fd.Name.Name
-			if !ast.IsExported(name) || !strings.HasSuffix(name, "Context") || name == "Context" {
-				continue
+			suffixed := strings.HasSuffix(name, "Context") && name != "Context"
+			ctxObj, ctxField := contextParam(pass, fd)
+			switch {
+			case ctxField == nil:
+				if suffixed {
+					pass.Reportf(fd.Pos(), "exported %s takes no context.Context parameter", name)
+				}
+			case suffixed || ctxField == fd.Type.Params.List[0]:
+				checkContextUse(pass, fd, ctxObj)
 			}
-			checkContextFunc(pass, fd, decls)
 		}
 	}
 }
 
-// funcKey identifies a function by receiver type and name, so that
-// methods on different types never count as each other's siblings.
-func funcKey(fd *ast.FuncDecl) string {
-	recv := ""
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recv = typeName(fd.Recv.List[0].Type) + "."
-	}
-	return recv + fd.Name.Name
-}
-
-// typeName renders a receiver type expression ("*Server" → "Server").
-func typeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.StarExpr:
-		return typeName(t.X)
-	case *ast.IndexExpr: // generic receiver, one type parameter
-		return typeName(t.X)
-	case *ast.IndexListExpr: // generic receiver, multiple type parameters
-		// Without this case every multi-parameter generic receiver keyed
-		// to "", so methods on different such types counted as each
-		// other's siblings and a missing sibling went unreported.
-		return typeName(t.X)
-	}
-	return ""
-}
-
-func checkContextFunc(pass *analysis.Pass, fd *ast.FuncDecl, decls map[string]*ast.FuncDecl) {
-	ctxObj, ctxField := contextParam(pass, fd)
-	if ctxField == nil {
-		pass.Reportf(fd.Pos(), "exported %s takes no context.Context parameter", fd.Name.Name)
+// checkContextUse audits one entry point's body: the context must be
+// named, observed, and never replaced by a background context.
+func checkContextUse(pass *analysis.Pass, fd *ast.FuncDecl, ctxObj types.Object) {
+	if fd.Body == nil {
 		return
 	}
-	if fd.Body != nil && ctxObj == nil {
+	if ctxObj == nil {
 		pass.Reportf(fd.Pos(), "%s's context parameter is unnamed and can never be polled", fd.Name.Name)
-	}
-	if fd.Body != nil && ctxObj != nil {
-		polled := false
-		analysis.InspectStack([]*ast.File{wrapBody(fd)}, func(n ast.Node, stack []ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if pass.ObjectOf(x) != ctxObj {
-					return true
-				}
-				if usesContext(x, stack) {
-					polled = true
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range x.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || id.Name != ctxObj.Name() || i >= len(x.Rhs) {
-						continue
-					}
-					if isBackgroundCall(x.Rhs[i]) && !insideNilGuard(pass, stack, ctxObj) {
-						pass.Reportf(x.Pos(), "%s discards the caller's context with context.%s()",
-							fd.Name.Name, backgroundName(x.Rhs[i]))
-					}
-				}
-			}
-			return true
-		})
-		if !polled {
-			pass.Reportf(fd.Pos(),
-				"%s never polls its context (no ctx.Err/ctx.Done/ctx.Deadline and ctx is not passed onward); cancellation is silently lost",
-				fd.Name.Name)
-		}
-	}
-	sibling := strings.TrimSuffix(fd.Name.Name, "Context")
-	key := funcKey(fd)
-	key = strings.TrimSuffix(key, "Context")
-	sib, ok := decls[key]
-	if !ok {
-		pass.Reportf(fd.Pos(), "%s has no non-Context sibling %s in the package", fd.Name.Name, sibling)
 		return
 	}
-	if _, sibCtx := contextParam(pass, sib); sibCtx != nil {
-		pass.Reportf(sib.Pos(), "%s takes a context.Context, shadowing its Context variant %s", sibling, fd.Name.Name)
+	polled := false
+	analysis.InspectStack([]*ast.File{wrapBody(fd)}, func(n ast.Node, stack []ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			if pass.ObjectOf(x) != ctxObj {
+				return true
+			}
+			if usesContext(x, stack) {
+				polled = true
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok || id.Name != ctxObj.Name() || i >= len(x.Rhs) {
+					continue
+				}
+				if isBackgroundCall(x.Rhs[i]) && !insideNilGuard(pass, stack, ctxObj) {
+					pass.Reportf(x.Pos(), "%s discards the caller's context with context.%s()",
+						fd.Name.Name, backgroundName(x.Rhs[i]))
+				}
+			}
+		}
+		return true
+	})
+	if !polled {
+		pass.Reportf(fd.Pos(),
+			"%s never polls its context (no ctx.Err/ctx.Done/ctx.Deadline and ctx is not passed onward); cancellation is silently lost",
+			fd.Name.Name)
 	}
 }
 

@@ -1,8 +1,10 @@
 //kernvet:path repro/internal/ctxpolltest
 
-// Package ctxpoll exercises the ctxpoll analyzer: exported ...Context
-// functions must take, observe, and not discard their context, and keep
-// a non-Context sibling that does not itself take one.
+// Package ctxpoll exercises the ctxpoll analyzer: exported functions
+// and methods whose first parameter is a context.Context, and exported
+// ...Context functions, must name, observe, and not discard their
+// context. No non-Context sibling is required, and a sibling that takes
+// a context is audited like any other entry point.
 package ctxpoll
 
 import "context"
@@ -40,8 +42,8 @@ func Scan() {}
 // ScanContext lacks the parameter its name promises.
 func ScanContext() {} // want `ScanContext takes no context.Context parameter`
 
-// WalkContext polls but has no non-Context sibling.
-func WalkContext(ctx context.Context) error { // want `WalkContext has no non-Context sibling Walk`
+// WalkContext polls and needs no non-Context sibling: clean.
+func WalkContext(ctx context.Context) error {
 	return ctx.Err()
 }
 
@@ -71,8 +73,9 @@ func Nop() {}
 // NopContext's context parameter is unnamed.
 func NopContext(context.Context) {} // want `NopContext's context parameter is unnamed`
 
-// Shadowed takes a context even though a Context variant exists.
-func Shadowed(ctx context.Context) error { return ctx.Err() } // want `Shadowed takes a context.Context, shadowing its Context variant ShadowedContext`
+// Shadowed takes a context even though a Context variant exists; it
+// polls, so it is clean.
+func Shadowed(ctx context.Context) error { return ctx.Err() }
 
 // ShadowedContext is fine on its own; its sibling is the problem.
 func ShadowedContext(ctx context.Context) error { return ctx.Err() }
@@ -104,9 +107,8 @@ func (s *Sweeper) SelectContext(ctx context.Context, xs []float64) float64 { // 
 // its Context methods must find their siblings on Other, not Sweeper.
 type Other struct{}
 
-// RunContext polls, but Other has no Run method (the package-level Run
-// does not count): flagged.
-func (o *Other) RunContext(ctx context.Context) error { // want `RunContext has no non-Context sibling Run`
+// RunContext polls; that Other has no Run method is fine: clean.
+func (o *Other) RunContext(ctx context.Context) error {
 	return ctx.Err()
 }
 
@@ -120,11 +122,35 @@ func (p *Pair[K, V]) Get() {}
 // GetContext has its sibling on the same generic type: clean.
 func (p *Pair[K, V]) GetContext(ctx context.Context) error { return ctx.Err() }
 
-// Bag has a GetContext but no Get. Before the IndexListExpr fix the
-// sibling lookup collided with Pair.Get and this went unreported.
+// Bag has a GetContext but no Get, which needs no sibling.
 type Bag[K comparable, V any] struct{}
 
-// GetContext has no non-Context sibling on Bag: flagged.
-func (b *Bag[K, V]) GetContext(ctx context.Context) error { // want `GetContext has no non-Context sibling Get`
+// GetContext polls: clean.
+func (b *Bag[K, V]) GetContext(ctx context.Context) error {
 	return ctx.Err()
 }
+
+// Select takes a context first without the Context suffix and never
+// looks at it: flagged, the suffix is not what puts it in the contract.
+func Select(ctx context.Context, xs []float64) float64 { // want `Select never polls its context`
+	return xs[0]
+}
+
+// Sweep is a context-first method without the suffix that never polls:
+// flagged like the function above.
+func (b *Bag[K, V]) Sweep(ctx context.Context, xs []float64) float64 { // want `Sweep never polls its context`
+	return xs[0]
+}
+
+// Drain takes a context first and discards it: flagged.
+func Drain(ctx context.Context) error {
+	ctx = context.TODO() // want `Drain discards the caller's context with context.TODO`
+	return ctx.Err()
+}
+
+// Lookup takes a context but not first, and its name promises none: it
+// is outside the contract.
+func Lookup(key string, ctx context.Context) string { return key }
+
+// sweep is unexported and outside the contract.
+func sweep(ctx context.Context) {}

@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/kernel"
@@ -65,15 +66,17 @@ func aiccFromParts(rss, trH float64, n int) float64 {
 }
 
 // NaiveGridSearchAICc evaluates AICcScore per grid point, any kernel.
-func NaiveGridSearchAICc(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// ctx is polled once per bandwidth (each an O(n²) evaluation);
+// cancellation returns ctx.Err() and a zero Result.
+func NaiveGridSearchAICc(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	scores := make([]float64, g.Len())
 	for j, h := range g.H {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		scores[j] = AICcScore(x, y, h, k)
 	}
 	return Best(g, scores), nil
@@ -83,12 +86,11 @@ func NaiveGridSearchAICc(x, y []float64, g Grid, k kernel.Kind) (Result, error) 
 // with the sorted incremental sweep (Epanechnikov). The full-sample sums
 // include the self term (distance zero, always in range), so no
 // leave-one-out correction is needed; per observation and bandwidth the
-// sweep yields num, den, and the trace contribution K(0)/den.
-func SortedGridSearchAICc(x, y []float64, g Grid) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// sweep yields num, den, and the trace contribution K(0)/den. ctx is
+// polled once per observation (one O(n log n) sort plus an O(n + k)
+// sweep); cancellation returns ctx.Err() and a zero Result.
+func SortedGridSearchAICc(ctx context.Context, x, y []float64, g Grid) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	n := len(x)
@@ -100,6 +102,9 @@ func SortedGridSearchAICc(x, y []float64, g Grid) (Result, error) {
 	yv := make([]float64, 0, n)
 	const k0 = 0.75 // Epanechnikov K(0)
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		absd = absd[:0]
 		yv = yv[:0]
 		xi := x[i]

@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,11 +19,11 @@ func TestAICcSortedMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := NaiveGridSearchAICc(d.X, d.Y, g, kernel.Epanechnikov)
+			naive, err := NaiveGridSearchAICc(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sorted, err := SortedGridSearchAICc(d.X, d.Y, g)
+			sorted, err := SortedGridSearchAICc(context.Background(), d.X, d.Y, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,8 +51,8 @@ func TestAICcProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		naive, err1 := NaiveGridSearchAICc(x, y, g, kernel.Epanechnikov)
-		sorted, err2 := SortedGridSearchAICc(x, y, g)
+		naive, err1 := NaiveGridSearchAICc(context.Background(), x, y, g, kernel.Epanechnikov)
+		sorted, err2 := SortedGridSearchAICc(context.Background(), x, y, g)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -70,11 +71,11 @@ func TestAICcSelectsNearCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := SortedGridSearch(d.X, d.Y, g)
+	cv, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aicc, err := SortedGridSearchAICc(d.X, d.Y, g)
+	aicc, err := SortedGridSearchAICc(context.Background(), d.X, d.Y, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,10 @@ func TestAICcDegenerateCases(t *testing.T) {
 	}
 	// Validation.
 	g := Grid{H: []float64{0.5}}
-	if _, err := NaiveGridSearchAICc(d.X, d.Y[:3], g, kernel.Epanechnikov); err == nil {
+	if _, err := NaiveGridSearchAICc(context.Background(), d.X, d.Y[:3], g, kernel.Epanechnikov); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SortedGridSearchAICc(d.X, d.Y, Grid{}); err == nil {
+	if _, err := SortedGridSearchAICc(context.Background(), d.X, d.Y, Grid{}); err == nil {
 		t.Error("empty grid should fail")
 	}
 }
@@ -110,7 +111,7 @@ func TestAICcPenalisesRoughness(t *testing.T) {
 	// at the selected optimum: the trace penalty bites.
 	d := data.GeneratePaper(300, 5)
 	g, _ := DefaultGrid(d.X, 60)
-	res, err := SortedGridSearchAICc(d.X, d.Y, g)
+	res, err := SortedGridSearchAICc(context.Background(), d.X, d.Y, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ type BaggedOptions struct {
 
 // BaggedResult is the outcome of a bagged selection. When m == n every
 // bag is the full sample, so the embedded Result is one exact
-// full-sample sweep, bit-identical to TwoPointerGridSearchKernel, and
+// full-sample sweep, bit-identical to TwoPointerGridSearch, and
 // Factor is exactly 1. Otherwise Result.H carries the rescaled mean
 // bandwidth (a continuum value, not a grid point), Result.Index is -1,
 // Result.Scores is nil, and Result.CV is the compensated mean of the
@@ -152,20 +152,11 @@ type BaggedResult struct {
 
 // BaggedGridSearch selects a bandwidth by bagging the two-pointer sweep
 // over r deterministic subsamples of size m and rescaling the mean
-// winner by (m/n)^(1/5). See BaggedGridSearchContext for cancellation.
-func BaggedGridSearch(x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
-	return BaggedGridSearchContext(context.Background(), x, y, g, k, opt)
-}
-
-// BaggedGridSearchContext is BaggedGridSearch with cooperative
-// cancellation: every bag worker polls ctx between bags and the inner
-// sweeps poll it per observation. Cancellation returns ctx.Err() and a
-// zero BaggedResult — never a partial aggregate.
-func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
-	if err := validateSample(x, y); err != nil {
-		return BaggedResult{}, err
-	}
-	if err := g.Validate(); err != nil {
+// winner by (m/n)^(1/5). Every bag worker polls ctx between bags and the
+// inner sweeps poll it per observation. Cancellation returns ctx.Err()
+// and a zero BaggedResult — never a partial aggregate.
+func BaggedGridSearch(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return BaggedResult{}, err
 	}
 	if _, err := sweepFunc(k, opt.Stability); err != nil {
@@ -200,7 +191,7 @@ func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kern
 		// for all r bags, and (n/n)^(1/5) = 1 exactly, so this path is
 		// bit-identical to the full-sample two-pointer selector — the
 		// degeneracy the golden baseline pins.
-		res, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, opt.Stability)
+		res, err := TwoPointerGridSearch(ctx, x, y, g, k, opt.Stability)
 		if err != nil {
 			return BaggedResult{}, err
 		}

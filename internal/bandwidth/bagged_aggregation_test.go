@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -38,13 +39,13 @@ func TestBaggedMedianAggregation(t *testing.T) {
 	g := aggregationGrid(t)
 	base := BaggedOptions{Bags: 9, BagSize: 150, Seed: 7}
 
-	meanRun, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, base)
+	meanRun, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	medOpts := base
 	medOpts.Aggregation = AggregateMedian
-	medianRun, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, medOpts)
+	medianRun, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, medOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,14 @@ func TestBaggedCVVariance(t *testing.T) {
 	x, y := aggregationSample(600, 102)
 	g := aggregationGrid(t)
 
-	res, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 12, BagSize: 120, Seed: 3})
+	res, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 12, BagSize: 120, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(res.CVVar > 0) {
 		t.Errorf("12 bags of noisy data report CVVar = %v, want > 0", res.CVVar)
 	}
-	again, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 12, BagSize: 120, Seed: 3})
+	again, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 12, BagSize: 120, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestBaggedCVVariance(t *testing.T) {
 		t.Errorf("same seed reproduced CVVar %v then %v", res.CVVar, again.CVVar)
 	}
 
-	one, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 1, BagSize: 120, Seed: 3})
+	one, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 1, BagSize: 120, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestBaggedCVVariance(t *testing.T) {
 		t.Errorf("single bag reports CVVar = %v, want 0", one.CVVar)
 	}
 
-	degen, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 4, BagSize: len(x), Seed: 3})
+	degen, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 4, BagSize: len(x), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestParseAggregation(t *testing.T) {
 	}
 	x, y := aggregationSample(40, 103)
 	g := aggregationGrid(t)
-	if _, err := BaggedGridSearch(x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 2, BagSize: 20, Aggregation: Aggregation(9)}); err == nil {
+	if _, err := BaggedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, BaggedOptions{Bags: 2, BagSize: 20, Aggregation: Aggregation(9)}); err == nil {
 		t.Error("out-of-range Aggregation value accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,11 +178,11 @@ func TestSortedMatchesNaiveEpanechnikov(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+			naive, err := NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sorted, err := SortedGridSearch(d.X, d.Y, g)
+			sorted, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,11 +205,11 @@ func TestSortedMatchesNaiveAllCompactKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform, kernel.Triangular} {
-		naive, err := NaiveGridSearch(d.X, d.Y, g, k)
+		naive, err := NaiveGridSearch(context.Background(), d.X, d.Y, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := SortedGridSearchKernel(d.X, d.Y, g, k)
+		sorted, err := SortedGridSearch(context.Background(), d.X, d.Y, g, k, Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +229,7 @@ func TestSortedRejectsNonDecomposableKernels(t *testing.T) {
 	d := data.GeneratePaper(30, 1)
 	g, _ := DefaultGrid(d.X, 5)
 	for _, k := range []kernel.Kind{kernel.Gaussian, kernel.Biweight, kernel.Triweight, kernel.Cosine} {
-		if _, err := SortedGridSearchKernel(d.X, d.Y, g, k); err == nil {
+		if _, err := SortedGridSearch(context.Background(), d.X, d.Y, g, k, Compensated); err == nil {
 			t.Errorf("%v should be rejected by the sorted search", k)
 		}
 	}
@@ -240,12 +241,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SortedGridSearch(d.X, d.Y, g)
+	seq, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
-		par, err := SortedGridSearchParallel(d.X, d.Y, g, workers)
+		par, err := SortedGridSearchParallel(context.Background(), d.X, d.Y, g, workers, Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,8 +279,8 @@ func TestAgreementProperty(t *testing.T) {
 		if err != nil {
 			return true // degenerate draw (all-equal X)
 		}
-		naive, err1 := NaiveGridSearch(x, y, g, kernel.Epanechnikov)
-		sorted, err2 := SortedGridSearch(x, y, g)
+		naive, err1 := NaiveGridSearch(context.Background(), x, y, g, kernel.Epanechnikov)
+		sorted, err2 := SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -298,11 +299,11 @@ func TestZeroDenominatorExclusion(t *testing.T) {
 	x := []float64{0.1, 0.1001, 0.9, 0.9001, 0.5}
 	y := []float64{1, 1.1, 2, 2.1, 10}
 	g := Grid{H: []float64{0.001, 0.01, 0.1}}
-	naive, err := NaiveGridSearch(x, y, g, kernel.Epanechnikov)
+	naive, err := NaiveGridSearch(context.Background(), x, y, g, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := SortedGridSearch(x, y, g)
+	sorted, err := SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestTwoObservations(t *testing.T) {
 	x := []float64{0, 1}
 	y := []float64{1, 3}
 	g := Grid{H: []float64{0.5, 1.5}}
-	r, err := SortedGridSearch(x, y, g)
+	r, err := SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,16 +352,16 @@ func TestBestTieBreaksLow(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	g := Grid{H: []float64{0.5}}
-	if _, err := SortedGridSearch([]float64{1, 2}, []float64{1}, g); err == nil {
+	if _, err := SortedGridSearch(context.Background(), []float64{1, 2}, []float64{1}, g, kernel.Epanechnikov, Compensated); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SortedGridSearch([]float64{1}, []float64{1}, g); err == nil {
+	if _, err := SortedGridSearch(context.Background(), []float64{1}, []float64{1}, g, kernel.Epanechnikov, Compensated); err == nil {
 		t.Error("single observation should fail")
 	}
-	if _, err := NaiveGridSearch([]float64{1, 2}, []float64{1, 2}, Grid{}, kernel.Epanechnikov); err == nil {
+	if _, err := NaiveGridSearch(context.Background(), []float64{1, 2}, []float64{1, 2}, Grid{}, kernel.Epanechnikov); err == nil {
 		t.Error("empty grid should fail")
 	}
-	if _, err := SortedGridSearchParallel([]float64{1, 2}, []float64{1, 2}, Grid{H: []float64{-1}}, 2); err == nil {
+	if _, err := SortedGridSearchParallel(context.Background(), []float64{1, 2}, []float64{1, 2}, Grid{H: []float64{-1}}, 2, Compensated); err == nil {
 		t.Error("invalid grid should fail in parallel search")
 	}
 }
@@ -373,7 +374,7 @@ func TestCVDecreasesNoiseSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := SortedGridSearch(d.X, d.Y, g)
+	r, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestCVDecreasesNoiseSensitivity(t *testing.T) {
 func TestScoresAlignedWithGrid(t *testing.T) {
 	d := data.GeneratePaper(100, 2)
 	g, _ := DefaultGrid(d.X, 20)
-	r, err := SortedGridSearch(d.X, d.Y, g)
+	r, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,15 +89,15 @@ func FuzzCompensatedSweep(f *testing.F) {
 		}
 		ctx := context.Background()
 
-		comp, err := SortedGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, Compensated)
+		comp, err := SortedGridSearch(ctx, x, y, g, kernel.Epanechnikov, Compensated)
 		if err != nil {
 			t.Fatalf("compensated sweep: %v", err)
 		}
-		plain, err := SortedGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, Uncompensated)
+		plain, err := SortedGridSearch(ctx, x, y, g, kernel.Epanechnikov, Uncompensated)
 		if err != nil {
 			t.Fatalf("uncompensated sweep: %v", err)
 		}
-		oracle, err := NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
+		oracle, err := NaiveGridSearch(ctx, x, y, g, kernel.Epanechnikov)
 		if err != nil {
 			t.Fatalf("naive oracle: %v", err)
 		}

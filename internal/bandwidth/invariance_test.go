@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,7 +102,7 @@ func TestSortedSearchPermutationInvariance(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		a, err := SortedGridSearch(x, y, g)
+		a, err := SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 		if err != nil {
 			return false
 		}
@@ -112,7 +113,7 @@ func TestSortedSearchPermutationInvariance(t *testing.T) {
 			px[i] = x[p]
 			py[i] = y[p]
 		}
-		b, err := SortedGridSearch(px, py, g)
+		b, err := SortedGridSearch(context.Background(), px, py, g, kernel.Epanechnikov, Compensated)
 		if err != nil {
 			return false
 		}
@@ -215,11 +216,11 @@ func TestGridMonotonePointerNeverRegresses(t *testing.T) {
 	x, y := randomSample(9, 50, 51)
 	coarse := Grid{H: []float64{0.2, 0.4, 0.8}}
 	fine := Grid{H: []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.8}}
-	rc, err := SortedGridSearch(x, y, coarse)
+	rc, err := SortedGridSearch(context.Background(), x, y, coarse, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := SortedGridSearch(x, y, fine)
+	rf, err := SortedGridSearch(context.Background(), x, y, fine, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

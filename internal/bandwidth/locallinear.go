@@ -91,19 +91,10 @@ func cvScoreLocalLinearContext(ctx context.Context, x, y []float64, h float64, k
 }
 
 // NaiveGridSearchLocalLinear evaluates CVScoreLocalLinear independently
-// per grid point, for any kernel.
-func NaiveGridSearchLocalLinear(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return NaiveGridSearchLocalLinearContext(context.Background(), x, y, g, k)
-}
-
-// NaiveGridSearchLocalLinearContext is NaiveGridSearchLocalLinear with
-// cooperative cancellation at observation granularity. Cancellation
-// returns ctx.Err() and a zero Result.
-func NaiveGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// per grid point, for any kernel, polling ctx once per observation of
+// each evaluation. Cancellation returns ctx.Err() and a zero Result.
+func NaiveGridSearchLocalLinear(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	scores := make([]float64, g.Len())
@@ -271,32 +262,11 @@ func localLinearSweepCompensated(absd, delta, yv []float64, yi float64, grid, sc
 // SortedGridSearchLocalLinear runs the sorted incremental grid search for
 // the local-linear estimator with the Epanechnikov kernel — the "ll"
 // analogue of SortedGridSearch, demonstrating that the paper's technique
-// is not specific to the local-constant estimator.
-func SortedGridSearchLocalLinear(x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchLocalLinearContext(context.Background(), x, y, g)
-}
-
-// SortedGridSearchLocalLinearContext is SortedGridSearchLocalLinear with
-// cooperative cancellation, polled once per observation like the
+// is not specific to the local-constant estimator. st selects the nine
+// sums' summation mode; ctx is polled once per observation like the
 // local-constant sorted search.
-func SortedGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchLocalLinearStabilityContext(ctx, x, y, g, Compensated)
-}
-
-// SortedGridSearchLocalLinearStabilityContext is
-// SortedGridSearchLocalLinearContext with an explicit summation mode for
-// the nine-sum sweep.
-// SortedGridSearchLocalLinearStability is
-// SortedGridSearchLocalLinearStabilityContext without cancellation.
-func SortedGridSearchLocalLinearStability(x, y []float64, g Grid, st Stability) (Result, error) {
-	return SortedGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, st)
-}
-
-func SortedGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+func SortedGridSearchLocalLinear(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	sweep := localLinearSweepCompensated

@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -41,11 +42,11 @@ func TestSortedLocalLinearMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := NaiveGridSearchLocalLinear(d.X, d.Y, g, kernel.Epanechnikov)
+			naive, err := NaiveGridSearchLocalLinear(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sorted, err := SortedGridSearchLocalLinear(d.X, d.Y, g)
+			sorted, err := SortedGridSearchLocalLinear(context.Background(), d.X, d.Y, g, Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +69,8 @@ func TestSortedLocalLinearProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		naive, err1 := NaiveGridSearchLocalLinear(x, y, g, kernel.Epanechnikov)
-		sorted, err2 := SortedGridSearchLocalLinear(x, y, g)
+		naive, err1 := NaiveGridSearchLocalLinear(context.Background(), x, y, g, kernel.Epanechnikov)
+		sorted, err2 := SortedGridSearchLocalLinear(context.Background(), x, y, g, Compensated)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -101,11 +102,11 @@ func TestLocalLinearVsLocalConstantSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := SortedGridSearch(d.X, d.Y, g)
+	lc, err := SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ll, err := SortedGridSearchLocalLinear(d.X, d.Y, g)
+	ll, err := SortedGridSearchLocalLinear(context.Background(), d.X, d.Y, g, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestLocalLinearDegenerateDesign(t *testing.T) {
 	if math.IsNaN(cv) || math.IsInf(cv, 0) {
 		t.Errorf("degenerate-design CV = %v", cv)
 	}
-	s, err := SortedGridSearchLocalLinear(x, y, Grid{H: []float64{0.1, 0.5, 1.0}})
+	s, err := SortedGridSearchLocalLinear(context.Background(), x, y, Grid{H: []float64{0.1, 0.5, 1.0}}, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +149,13 @@ func TestLocalLinearInvalidInputs(t *testing.T) {
 		t.Error("h=0 should score +Inf")
 	}
 	g := Grid{H: []float64{0.5}}
-	if _, err := NaiveGridSearchLocalLinear([]float64{1}, []float64{1}, g, kernel.Epanechnikov); err == nil {
+	if _, err := NaiveGridSearchLocalLinear(context.Background(), []float64{1}, []float64{1}, g, kernel.Epanechnikov); err == nil {
 		t.Error("single observation should fail")
 	}
-	if _, err := SortedGridSearchLocalLinear([]float64{1, 2}, []float64{1}, g); err == nil {
+	if _, err := SortedGridSearchLocalLinear(context.Background(), []float64{1, 2}, []float64{1}, g, Compensated); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SortedGridSearchLocalLinear([]float64{1, 2}, []float64{1, 2}, Grid{}); err == nil {
+	if _, err := SortedGridSearchLocalLinear(context.Background(), []float64{1, 2}, []float64{1, 2}, Grid{}, Compensated); err == nil {
 		t.Error("empty grid should fail")
 	}
 }

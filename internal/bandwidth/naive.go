@@ -56,20 +56,12 @@ func cvScoreContext(ctx context.Context, x, y []float64, h float64, k kernel.Kin
 // NaiveGridSearch evaluates CVScore independently for every grid
 // bandwidth — the O(k·n²) algorithm the paper's sorted approach replaces —
 // and returns the arg-min. It works with any kernel, which is why it also
-// serves as the reference implementation in agreement tests.
-func NaiveGridSearch(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return NaiveGridSearchContext(context.Background(), x, y, g, k)
-}
-
-// NaiveGridSearchContext is NaiveGridSearch with cooperative
-// cancellation at observation granularity (each grid point's O(n²)
-// evaluation polls ctx once per observation). Cancellation returns
-// ctx.Err() and a zero Result, never a partial selection.
-func NaiveGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// serves as the reference implementation in agreement tests. ctx is
+// polled once per observation of each grid point's O(n²) evaluation;
+// cancellation returns ctx.Err() and a zero Result, never a partial
+// selection.
+func NaiveGridSearch(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	scores := make([]float64, g.Len())
@@ -104,12 +96,14 @@ func Best(g Grid, scores []float64) Result {
 	return Result{H: g.H[best], CV: bv, Index: best, Scores: scores}
 }
 
-func validateSample(x, y []float64) error {
+// validateInputs rejects a sample of mismatched lengths or fewer than
+// two observations, and an invalid grid.
+func validateInputs(x, y []float64, g Grid) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("bandwidth: X has %d observations, Y has %d", len(x), len(y))
 	}
 	if len(x) < 2 {
 		return fmt.Errorf("bandwidth: need at least 2 observations, have %d", len(x))
 	}
-	return nil
+	return g.Validate()
 }

@@ -30,7 +30,7 @@ type Stability int
 
 const (
 	// Compensated uses Neumaier summation for the running prefix sums.
-	// The default for every entry point.
+	// The zero value, and the default everywhere.
 	Compensated Stability = iota
 	// Uncompensated reproduces the seed's plain running sums. Kept for
 	// the stability battery and the overhead benchmark (ablation only).
@@ -263,48 +263,21 @@ func (ws *sortedWorkspace) fill(x, y []float64, i int) {
 	sortx.QuickSort64(ws.absd, ws.yv)
 }
 
-// SortedGridSearch runs the paper's sorted incremental grid search with
-// the Epanechnikov kernel in double precision — the algorithm of Program 3
-// without the float32 narrowing. The grid must be ascending (Grid
-// guarantees it via Validate).
-func SortedGridSearch(x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchKernel(x, y, g, kernel.Epanechnikov)
-}
-
-// SortedGridSearchKernel is SortedGridSearch generalised over the
-// compact-support kernels that admit the prefix-sum decomposition
-// (Epanechnikov, Uniform, Triangular — the set the paper's footnote 1
-// identifies).
-func SortedGridSearchKernel(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return SortedGridSearchKernelContext(context.Background(), x, y, g, k)
-}
-
-// SortedGridSearchKernelContext is SortedGridSearchKernel with
-// cooperative cancellation: ctx is polled once per observation (each
-// observation costs an O(n log n) sort plus an O(n + k) sweep, so a
-// cancelled caller is noticed within one row's work). Cancellation
-// returns ctx.Err() and a zero Result — never a partial selection — and
-// the check only early-exits, so the float arithmetic of a completed
-// search is bit-identical to the uncancellable entry point.
-func SortedGridSearchKernelContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return SortedGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
-}
-
-// SortedGridSearchKernelStabilityContext is SortedGridSearchKernelContext
-// with an explicit summation mode. Uncompensated reproduces the seed's
-// plain running prefix sums; every public entry point defaults to
-// Compensated.
-// SortedGridSearchKernelStability is SortedGridSearchKernelStabilityContext
-// without cancellation.
-func SortedGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
-	return SortedGridSearchKernelStabilityContext(context.Background(), x, y, g, k, st)
-}
-
-func SortedGridSearchKernelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// SortedGridSearch runs the paper's sorted incremental grid search in
+// double precision — the algorithm of Program 3 without the float32
+// narrowing — for the compact-support kernels that admit the prefix-sum
+// decomposition (Epanechnikov, Uniform, Triangular: the set the paper's
+// footnote 1 identifies). The grid must be ascending (Grid guarantees it
+// via Validate). st selects the summation mode of the running prefix
+// sums; Uncompensated reproduces the seed's plain sums.
+//
+// ctx is polled once per observation (each costs an O(n log n) sort plus
+// an O(n + k) sweep, so a cancelled caller is noticed within one row's
+// work). Cancellation returns ctx.Err() and a zero Result — never a
+// partial selection — and the check only early-exits, so the float
+// arithmetic of a completed search does not depend on ctx.
+func SortedGridSearch(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	sweep, err := sweepFunc(k, st)
@@ -328,38 +301,16 @@ func SortedGridSearchKernelStabilityContext(ctx context.Context, x, y []float64,
 }
 
 // SortedGridSearchParallel is the goroutine-parallel version of
-// SortedGridSearch: observations are partitioned across workers, each
-// worker keeps a private score vector (the analogue of the device's
-// per-thread work), and the vectors are reduced at the end — the same
-// map/reduce structure as the CUDA program, realised with host threads.
-// workers <= 0 selects GOMAXPROCS.
-func SortedGridSearchParallel(x, y []float64, g Grid, workers int) (Result, error) {
-	return SortedGridSearchParallelContext(context.Background(), x, y, g, workers)
-}
-
-// SortedGridSearchParallelContext is SortedGridSearchParallel with
-// cooperative cancellation: every worker polls ctx once per observation
-// and bails out of its stride, so a cancelled caller frees all workers
-// within one row's work each. The reduction is skipped on cancellation
-// and ctx.Err() is returned with a zero Result.
-func SortedGridSearchParallelContext(ctx context.Context, x, y []float64, g Grid, workers int) (Result, error) {
-	return SortedGridSearchParallelStabilityContext(ctx, x, y, g, workers, Compensated)
-}
-
-// SortedGridSearchParallelStabilityContext is
-// SortedGridSearchParallelContext with an explicit summation mode for the
-// per-worker sweeps.
-// SortedGridSearchParallelStability is
-// SortedGridSearchParallelStabilityContext without cancellation.
-func SortedGridSearchParallelStability(x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	return SortedGridSearchParallelStabilityContext(context.Background(), x, y, g, workers, st)
-}
-
-func SortedGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// SortedGridSearch for the Epanechnikov kernel: observations are
+// partitioned across workers, each worker keeps a private score vector
+// (the analogue of the device's per-thread work), and the vectors are
+// reduced at the end — the same map/reduce structure as the CUDA
+// program, realised with host threads. workers <= 0 selects GOMAXPROCS.
+// Every worker polls ctx once per observation and bails out of its
+// stride; on cancellation the reduction is skipped and ctx.Err() is
+// returned with a zero Result.
+func SortedGridSearchParallel(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -401,7 +352,13 @@ func SortedGridSearchParallelStabilityContext(ctx context.Context, x, y []float6
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	scores := make([]float64, k)
+	return mergePartials(g, partial, n), nil
+}
+
+// mergePartials sums the per-worker score vectors in worker order,
+// divides by n, and selects the arg-min.
+func mergePartials(g Grid, partial [][]float64, n int) Result {
+	scores := make([]float64, g.Len())
 	for _, p := range partial {
 		for j, v := range p {
 			scores[j] += v
@@ -410,5 +367,5 @@ func SortedGridSearchParallelStabilityContext(ctx context.Context, x, y []float6
 	for j := range scores {
 		scores[j] /= float64(n)
 	}
-	return Best(g, scores), nil
+	return Best(g, scores)
 }

@@ -94,40 +94,17 @@ func twoPointerFillLL(xs, ys []float64, i int, absd, delta, yv []float64) {
 	}
 }
 
-// TwoPointerGridSearch runs the two-pointer sorted sweep with the
-// Epanechnikov kernel in double precision: one global sort, then an
-// O(n + k) enumeration + sweep per observation.
-func TwoPointerGridSearch(x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchKernel(x, y, g, kernel.Epanechnikov)
-}
-
-// TwoPointerGridSearchKernel is TwoPointerGridSearch generalised over
-// the compact-support kernels that admit the prefix-sum decomposition
-// (Epanechnikov, Uniform, Triangular).
-func TwoPointerGridSearchKernel(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return TwoPointerGridSearchKernelContext(context.Background(), x, y, g, k)
-}
-
-// TwoPointerGridSearchKernelContext is TwoPointerGridSearchKernel with
-// cooperative cancellation, polled once per observation. Cancellation
-// returns ctx.Err() and a zero Result — never a partial selection.
-func TwoPointerGridSearchKernelContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
-}
-
-// TwoPointerGridSearchKernelStabilityContext is
-// TwoPointerGridSearchKernelContext with an explicit summation mode for
-// the prefix sums (the same Stability switch as the sorted search).
-// TwoPointerGridSearchKernelStability is
-// TwoPointerGridSearchKernelStabilityContext without cancellation.
-func TwoPointerGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
-	return TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, g, k, st)
-}
-
-func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
+// TwoPointerGridSearch runs the two-pointer sorted sweep in double
+// precision for the compact-support kernels that admit the prefix-sum
+// decomposition (Epanechnikov, Uniform, Triangular): one global sort,
+// then an O(n + k) enumeration + sweep per observation. st selects the
+// summation mode of the prefix sums (the same switch as SortedGridSearch).
+// ctx is polled once per observation; cancellation returns ctx.Err() and
+// a zero Result — never a partial selection.
+func TwoPointerGridSearch(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
 	ws := AcquireWorkspace(len(x), g.Len())
 	defer ws.Release()
-	r, err := twoPointerInto(ctx, x, y, g, k, st, ws)
+	r, err := TwoPointerGridSearchInto(ctx, x, y, g, k, st, ws)
 	if err != nil {
 		return Result{}, err
 	}
@@ -137,20 +114,14 @@ func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []floa
 	return r, nil
 }
 
-// TwoPointerGridSearchInto is the zero-allocation entry point: every
-// scratch slice, including the score vector, lives in ws, so a caller
-// that acquires ws once (or pools it) performs no heap allocation per
-// selection. Result.Scores aliases ws and is valid only until
-// ws.Release(); callers that keep scores must copy them first.
+// TwoPointerGridSearchInto is the zero-allocation form of
+// TwoPointerGridSearch: every scratch slice, including the score vector,
+// lives in ws, so a caller that acquires ws once (or pools it) performs
+// no heap allocation per selection. Result.Scores aliases ws and is
+// valid only until ws.Release(); callers that keep scores must copy them
+// first.
 func TwoPointerGridSearchInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace) (Result, error) {
-	return twoPointerInto(ctx, x, y, g, k, st, ws)
-}
-
-func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	sweep, err := sweepFunc(k, st)
@@ -178,39 +149,17 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	return Best(g, scores), nil
 }
 
-// TwoPointerGridSearchParallel shards the two-pointer sweep across
-// workers. The single globally sorted sample is shared read-only; each
-// worker owns a pooled workspace (neighbour buffers plus a private
-// score vector, so no two goroutines ever write the same cache line of
-// an accumulator) and the per-shard partials are merged once at the
-// end. workers <= 0 selects runtime.GOMAXPROCS(0) at call time; shard
-// count is clamped to n.
-func TwoPointerGridSearchParallel(x, y []float64, g Grid, workers int) (Result, error) {
-	return TwoPointerGridSearchParallelContext(context.Background(), x, y, g, workers)
-}
-
-// TwoPointerGridSearchParallelContext is TwoPointerGridSearchParallel
-// with cooperative cancellation: every worker polls ctx once per
-// observation; on cancellation the reduction is skipped and ctx.Err()
-// is returned with a zero Result.
-func TwoPointerGridSearchParallelContext(ctx context.Context, x, y []float64, g Grid, workers int) (Result, error) {
-	return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, workers, Compensated)
-}
-
-// TwoPointerGridSearchParallelStabilityContext is
-// TwoPointerGridSearchParallelContext with an explicit summation mode
-// for the per-worker sweeps.
-// TwoPointerGridSearchParallelStability is
-// TwoPointerGridSearchParallelStabilityContext without cancellation.
-func TwoPointerGridSearchParallelStability(x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	return TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, workers, st)
-}
-
-func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// TwoPointerGridSearchParallel shards the two-pointer sweep for the
+// Epanechnikov kernel across workers. The single globally sorted sample
+// is shared read-only; each worker owns a pooled workspace (neighbour
+// buffers plus a private score vector, so no two goroutines ever write
+// the same cache line of an accumulator) and the per-shard partials are
+// merged once at the end. workers <= 0 selects runtime.GOMAXPROCS(0) at
+// call time; shard count is clamped to n. Every worker polls ctx once per
+// observation; on cancellation the reduction is skipped and ctx.Err() is
+// returned with a zero Result.
+func TwoPointerGridSearchParallel(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	sweep, err := sweepFunc(kernel.Epanechnikov, st)
@@ -264,47 +213,17 @@ func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []fl
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	scores := make([]float64, k)
-	for _, p := range partial {
-		for j, v := range p {
-			scores[j] += v
-		}
-	}
-	for j := range scores {
-		scores[j] /= float64(n)
-	}
-	return Best(g, scores), nil
+	return mergePartials(g, partial, n), nil
 }
 
 // TwoPointerGridSearchLocalLinear runs the two-pointer sweep for the
 // local-linear estimator with the Epanechnikov kernel — the "ll"
 // analogue, feeding the nine-prefix-sum sweep of locallinear.go from
-// the merged enumeration instead of a per-observation argsort.
-func TwoPointerGridSearchLocalLinear(x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchLocalLinearContext(context.Background(), x, y, g)
-}
-
-// TwoPointerGridSearchLocalLinearContext is
-// TwoPointerGridSearchLocalLinear with cooperative cancellation, polled
-// once per observation.
-func TwoPointerGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchLocalLinearStabilityContext(ctx, x, y, g, Compensated)
-}
-
-// TwoPointerGridSearchLocalLinearStabilityContext is
-// TwoPointerGridSearchLocalLinearContext with an explicit summation
-// mode for the nine-sum sweep.
-// TwoPointerGridSearchLocalLinearStability is
-// TwoPointerGridSearchLocalLinearStabilityContext without cancellation.
-func TwoPointerGridSearchLocalLinearStability(x, y []float64, g Grid, st Stability) (Result, error) {
-	return TwoPointerGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, st)
-}
-
-func TwoPointerGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// the merged enumeration instead of a per-observation argsort. st
+// selects the nine sums' summation mode; ctx is polled once per
+// observation.
+func TwoPointerGridSearchLocalLinear(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	sweep := localLinearSweepCompensated

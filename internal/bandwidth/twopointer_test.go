@@ -52,11 +52,11 @@ func TestTwoPointerMatchesSorted(t *testing.T) {
 		}
 		for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform, kernel.Triangular} {
 			for _, st := range []Stability{Compensated, Uncompensated} {
-				want, err := SortedGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
+				want, err := SortedGridSearch(ctx, x, y, g, k, st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
+				got, err := TwoPointerGridSearch(ctx, x, y, g, k, st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,12 +80,12 @@ func TestTwoPointerParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TwoPointerGridSearch(x, y, g)
+	want, err := TwoPointerGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 5, 16} {
-		got, err := TwoPointerGridSearchParallel(x, y, g, workers)
+		got, err := TwoPointerGridSearchParallel(context.Background(), x, y, g, workers, Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,13 +111,15 @@ func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SortedGridSearch(x, y, g)
+	want, err := SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() (Result, error){
-		"sorted-parallel":     func() (Result, error) { return SortedGridSearchParallel(x, y, g, 8) },
-		"twopointer-parallel": func() (Result, error) { return TwoPointerGridSearchParallel(x, y, g, 8) },
+		"sorted-parallel": func() (Result, error) { return SortedGridSearchParallel(context.Background(), x, y, g, 8, Compensated) },
+		"twopointer-parallel": func() (Result, error) {
+			return TwoPointerGridSearchParallel(context.Background(), x, y, g, 8, Compensated)
+		},
 	} {
 		got, err := run()
 		if err != nil {
@@ -136,11 +138,11 @@ func TestTwoPointerLocalLinearMatchesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SortedGridSearchLocalLinear(x, y, g)
+	want, err := SortedGridSearchLocalLinear(context.Background(), x, y, g, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TwoPointerGridSearchLocalLinear(x, y, g)
+	got, err := TwoPointerGridSearchLocalLinear(context.Background(), x, y, g, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

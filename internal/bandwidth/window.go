@@ -238,19 +238,10 @@ func windowPassFunc(k kernel.Kind) (func(xs, ys []float64, h float64) float64, e
 // (X, Y), then one O(n) pass per grid bandwidth, O(n log n + k·n) in
 // all. It supports the Epanechnikov, Uniform and Triangular kernels and
 // computes the same objective as NaiveGridSearch to within the bound in
-// the comment above.
-func WindowGridSearch(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return WindowGridSearchContext(context.Background(), x, y, g, k)
-}
-
-// WindowGridSearchContext is WindowGridSearch with cooperative
-// cancellation, polled once per bandwidth pass. Cancellation returns
-// ctx.Err() and a zero Result — never a partial selection.
-func WindowGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
+// the comment above. ctx is polled once per bandwidth pass; cancellation
+// returns ctx.Err() and a zero Result — never a partial selection.
+func WindowGridSearch(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
+	if err := validateInputs(x, y, g); err != nil {
 		return Result{}, err
 	}
 	pass, err := windowPassFunc(k)

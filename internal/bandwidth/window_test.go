@@ -131,11 +131,11 @@ func TestWindowMatchesNaive(t *testing.T) {
 	cases = append(cases, windowAdversarial()...)
 	for _, c := range cases {
 		for _, k := range windowKernels {
-			oracle, err := NaiveGridSearchContext(ctx, c.x, c.y, c.g, k)
+			oracle, err := NaiveGridSearch(ctx, c.x, c.y, c.g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := WindowGridSearchContext(ctx, c.x, c.y, c.g, k)
+			got, err := WindowGridSearch(ctx, c.x, c.y, c.g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestWindowStrictBoundary(t *testing.T) {
 	y := []float64{1, 3}
 	g := Grid{H: []float64{1}}
 	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Triangular} {
-		r, err := WindowGridSearch(x, y, g, k)
+		r, err := WindowGridSearch(context.Background(), x, y, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestWindowStrictBoundary(t *testing.T) {
 			t.Errorf("%v: CV = %g, want exactly 0 (the boundary neighbour has zero weight)", k, r.CV)
 		}
 	}
-	r, err := WindowGridSearch(x, y, g, kernel.Uniform)
+	r, err := WindowGridSearch(context.Background(), x, y, g, kernel.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestWindowShardIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range windowKernels {
-		full, err := WindowGridSearch(x, y, g, k)
+		full, err := WindowGridSearch(context.Background(), x, y, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, span := range [][2]int{{0, 1}, {5, 17}, {36, 37}} {
-			sub, err := WindowGridSearch(x, y, Grid{H: g.H[span[0]:span[1]]}, k)
+			sub, err := WindowGridSearch(context.Background(), x, y, Grid{H: g.H[span[0]:span[1]]}, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,20 +220,20 @@ func TestWindowCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if r, err := WindowGridSearchContext(ctx, x, y, g, kernel.Epanechnikov); !errors.Is(err, context.Canceled) || r.Scores != nil {
+	if r, err := WindowGridSearch(ctx, x, y, g, kernel.Epanechnikov); !errors.Is(err, context.Canceled) || r.Scores != nil {
 		t.Fatalf("pre-cancelled: r=%+v err=%v", r, err)
 	}
 	// Polled once per bandwidth pass: a never-tripping context sees
 	// exactly k polls.
 	live := &pollCountCtx{Context: context.Background(), after: math.MaxInt64}
-	if _, err := WindowGridSearchContext(live, x, y, g, kernel.Epanechnikov); err != nil {
+	if _, err := WindowGridSearch(live, x, y, g, kernel.Epanechnikov); err != nil {
 		t.Fatal(err)
 	}
 	if n := live.calls.Load(); n != int64(g.Len()) {
 		t.Errorf("polled %d times, want once per bandwidth (%d)", n, g.Len())
 	}
 	mid := &pollCountCtx{Context: context.Background(), after: 5}
-	if r, err := WindowGridSearchContext(mid, x, y, g, kernel.Triangular); !errors.Is(err, context.Canceled) || r.Scores != nil {
+	if r, err := WindowGridSearch(mid, x, y, g, kernel.Triangular); !errors.Is(err, context.Canceled) || r.Scores != nil {
 		t.Fatalf("mid-flight: r=%+v err=%v", r, err)
 	}
 }
@@ -242,13 +242,13 @@ func TestWindowRejects(t *testing.T) {
 	x := []float64{0.1, 0.4, 0.7}
 	y := []float64{1, 2, 3}
 	g := Grid{H: []float64{0.5}}
-	if _, err := WindowGridSearch(x, y, g, kernel.Gaussian); err == nil {
+	if _, err := WindowGridSearch(context.Background(), x, y, g, kernel.Gaussian); err == nil {
 		t.Error("accepted the gaussian kernel")
 	}
-	if _, err := WindowGridSearch(x[:1], y[:1], g, kernel.Epanechnikov); err == nil {
+	if _, err := WindowGridSearch(context.Background(), x[:1], y[:1], g, kernel.Epanechnikov); err == nil {
 		t.Error("accepted a one-point sample")
 	}
-	if _, err := WindowGridSearch(x, y, Grid{H: []float64{0.5, 0.2}}, kernel.Epanechnikov); err == nil {
+	if _, err := WindowGridSearch(context.Background(), x, y, Grid{H: []float64{0.5, 0.2}}, kernel.Epanechnikov); err == nil {
 		t.Error("accepted a descending grid")
 	}
 }
@@ -261,11 +261,11 @@ func TestWindowPooledAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WindowGridSearch(x, y, g, kernel.Epanechnikov); err != nil {
+	if _, err := WindowGridSearch(context.Background(), x, y, g, kernel.Epanechnikov); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := WindowGridSearch(x, y, g, kernel.Epanechnikov); err != nil {
+		if _, err := WindowGridSearch(context.Background(), x, y, g, kernel.Epanechnikov); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -354,11 +354,11 @@ func FuzzWindowVsNaive(f *testing.F) {
 		}
 		ctx := context.Background()
 		for _, kern := range windowKernels {
-			oracle, err := NaiveGridSearchContext(ctx, x, y, g, kern)
+			oracle, err := NaiveGridSearch(ctx, x, y, g, kern)
 			if err != nil {
 				t.Fatalf("naive oracle: %v", err)
 			}
-			got, err := WindowGridSearchContext(ctx, x, y, g, kern)
+			got, err := WindowGridSearch(ctx, x, y, g, kern)
 			if err != nil {
 				t.Fatalf("window: %v", err)
 			}

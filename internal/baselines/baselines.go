@@ -128,18 +128,12 @@ func cvObjective(x, y []float64, k kernel.Kind, evals *int) optimize.Objective {
 }
 
 // SelectNumerical is Program 1: single-threaded numerical optimisation of
-// the naive CV objective.
-func SelectNumerical(x, y []float64, opt Options) (Result, error) {
-	return SelectNumericalContext(context.Background(), x, y, opt)
-}
-
-// SelectNumericalContext is SelectNumerical with cooperative
-// cancellation, polled once per objective evaluation (each one an O(n²)
-// pass, the natural quantum of this selector). After cancellation every
-// remaining evaluation short-circuits to +Inf, so the optimiser's
-// bounded iteration winds down immediately and ctx.Err() is returned
-// with a zero Result — never a partial selection.
-func SelectNumericalContext(ctx context.Context, x, y []float64, opt Options) (Result, error) {
+// the naive CV objective. ctx is polled once per objective evaluation
+// (each one an O(n²) pass, the natural quantum of this selector). After
+// cancellation every remaining evaluation short-circuits to +Inf, so the
+// optimiser's bounded iteration winds down immediately and ctx.Err() is
+// returned with a zero Result — never a partial selection.
+func SelectNumerical(ctx context.Context, x, y []float64, opt Options) (Result, error) {
 	if err := check(x, y); err != nil {
 		return Result{}, err
 	}
@@ -165,13 +159,8 @@ func SelectNumericalContext(ctx context.Context, x, y []float64, opt Options) (R
 // O(n²) objective evaluation split across workers — the multicore R
 // program's structure (parallel over observations inside one evaluation,
 // sequential across optimiser iterations, which are inherently serial).
-func SelectNumericalParallel(x, y []float64, opt Options) (Result, error) {
-	return SelectNumericalParallelContext(context.Background(), x, y, opt)
-}
-
-// SelectNumericalParallelContext is SelectNumericalParallel with the
-// same per-evaluation cancellation as SelectNumericalContext.
-func SelectNumericalParallelContext(ctx context.Context, x, y []float64, opt Options) (Result, error) {
+// Cancellation is polled per evaluation, as for SelectNumerical.
+func SelectNumericalParallel(ctx context.Context, x, y []float64, opt Options) (Result, error) {
 	if err := check(x, y); err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestSelectNumericalFindsReasonableBandwidth(t *testing.T) {
 	d := data.GeneratePaper(300, 1)
-	r, err := SelectNumerical(d.X, d.Y, Options{})
+	r, err := SelectNumerical(context.Background(), d.X, d.Y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSelectNumericalFindsReasonableBandwidth(t *testing.T) {
 	// The CV at the numerical optimum should be no worse than a coarse
 	// grid's best (same objective, finer search).
 	g, _ := bandwidth.DefaultGrid(d.X, 25)
-	grid, _ := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	grid, _ := bandwidth.NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if r.CV > grid.CV*1.05 {
 		t.Errorf("numerical CV %v much worse than grid CV %v", r.CV, grid.CV)
 	}
@@ -46,11 +47,11 @@ func TestParallelMatchesSequentialObjective(t *testing.T) {
 
 func TestSelectNumericalParallelAgrees(t *testing.T) {
 	d := data.GeneratePaper(250, 7)
-	seq, err := SelectNumerical(d.X, d.Y, Options{})
+	seq, err := SelectNumerical(context.Background(), d.X, d.Y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SelectNumericalParallel(d.X, d.Y, Options{Workers: 4})
+	par, err := SelectNumericalParallel(context.Background(), d.X, d.Y, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSelectNumericalParallelAgrees(t *testing.T) {
 func TestMethods(t *testing.T) {
 	d := data.GeneratePaper(200, 9)
 	for _, m := range []Method{Brent, GoldenSection, NelderMead} {
-		r, err := SelectNumerical(d.X, d.Y, Options{Method: m})
+		r, err := SelectNumerical(context.Background(), d.X, d.Y, Options{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -85,11 +86,11 @@ func TestLocalMinimumSensitivity(t *testing.T) {
 	// never does worse than single-start, and the grid result is at
 	// least as good as any optimiser basin it brackets.
 	d := data.Generate(data.Sine, 300, 12)
-	single, err := SelectNumerical(d.X, d.Y, Options{Method: NelderMead})
+	single, err := SelectNumerical(context.Background(), d.X, d.Y, Options{Method: NelderMead})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SelectNumerical(d.X, d.Y, Options{Method: NelderMead, Starts: 8})
+	multi, err := SelectNumerical(context.Background(), d.X, d.Y, Options{Method: NelderMead, Starts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestLocalMinimumSensitivity(t *testing.T) {
 		t.Error("multi-start should spend more evaluations")
 	}
 	g, _ := bandwidth.DefaultGrid(d.X, 200)
-	grid, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	grid, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +138,10 @@ func TestBracketDefaults(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := SelectNumerical([]float64{1, 2}, []float64{1}, Options{}); err == nil {
+	if _, err := SelectNumerical(context.Background(), []float64{1, 2}, []float64{1}, Options{}); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SelectNumericalParallel([]float64{1}, []float64{1}, Options{}); err == nil {
+	if _, err := SelectNumericalParallel(context.Background(), []float64{1}, []float64{1}, Options{}); err == nil {
 		t.Error("single observation should fail")
 	}
 }
@@ -159,12 +160,12 @@ func TestNumericalAgreesWithFineGridOnSmoothSurface(t *testing.T) {
 	// On the paper's DGP the CV surface near the optimum is smooth and
 	// unimodal enough that Brent and a fine grid land close together.
 	d := data.GeneratePaper(400, 5)
-	num, err := SelectNumerical(d.X, d.Y, Options{Starts: 4})
+	num, err := SelectNumerical(context.Background(), d.X, d.Y, Options{Starts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, _ := bandwidth.DefaultGrid(d.X, 500)
-	grid, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	grid, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,11 +92,11 @@ func TestBaggedStatisticalTolerance(t *testing.T) {
 			t.Run(dgp.name+"/"+strconv.Itoa(n), func(t *testing.T) {
 				d := data.Generate(dgp.g, n, 20170529)
 				g := batteryGrid(t, d.X)
-				full, err := bandwidth.TwoPointerGridSearchKernel(d.X, d.Y, g, kernel.Epanechnikov)
+				full, err := bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 				if err != nil {
 					t.Fatalf("full-sample sweep: %v", err)
 				}
-				bag, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, 1))
+				bag, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, 1))
 				if err != nil {
 					t.Fatalf("bagged sweep: %v", err)
 				}
@@ -179,13 +179,13 @@ func TestBaggedSeedMetamorphic(t *testing.T) {
 	n := 2000
 	d := data.GeneratePaper(n, 20170529)
 	g := batteryGrid(t, d.X)
-	full, err := bandwidth.TwoPointerGridSearchKernel(d.X, d.Y, g, kernel.Epanechnikov)
+	full, err := bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatalf("full-sample sweep: %v", err)
 	}
 	seen := map[float64]bool{}
 	for _, seed := range []uint64{1, 2, 20170529} {
-		bag, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, seed))
+		bag, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -193,7 +193,7 @@ func TestBaggedSeedMetamorphic(t *testing.T) {
 			t.Errorf("seed %d: bagged h %g deviates from full-sample h %g by %.3f (> %.2f)",
 				seed, bag.H, full.H, rel, baggedRelTol)
 		}
-		again, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, seed))
+		again, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, baggedRefOpts(n, seed))
 		if err != nil {
 			t.Fatalf("seed %d repeat: %v", seed, err)
 		}
@@ -213,12 +213,11 @@ func TestBaggedSeedMetamorphic(t *testing.T) {
 func TestBaggedDegeneratesToExact(t *testing.T) {
 	d := data.GeneratePaper(2000, 20170529)
 	g := batteryGrid(t, d.X)
-	exact, err := bandwidth.TwoPointerGridSearchKernel(d.X, d.Y, g, kernel.Epanechnikov)
+	exact, err := bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatalf("exact sweep: %v", err)
 	}
-	bag, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov,
-		bandwidth.BaggedOptions{Bags: 1, BagSize: len(d.X), Seed: 7})
+	bag, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.BaggedOptions{Bags: 1, BagSize: len(d.X), Seed: 7})
 	if err != nil {
 		t.Fatalf("degenerate bagged: %v", err)
 	}

@@ -18,11 +18,11 @@ import (
 // across the requeue boundary, into the second round and out the far
 // side — and checks two contracts at every landing point:
 //
-//   1. cancelled runs return ctx.Err() with a zero result, completed
-//      runs are bit-identical to the healthy baseline (the fault is
-//      survivable: one device of three);
-//   2. the workspace pool balances: every acquire across the sweep is
-//      matched by a release, whichever path the run exited through.
+//  1. cancelled runs return ctx.Err() with a zero result, completed
+//     runs are bit-identical to the healthy baseline (the fault is
+//     survivable: one device of three);
+//  2. the workspace pool balances: every acquire across the sweep is
+//     matched by a release, whichever path the run exited through.
 //
 // The test must NOT run parallel to other pool users: the pool counters
 // are process-global, so the balance assertion needs the package's
@@ -34,7 +34,7 @@ func TestFaultPathCancellationReleasesWorkspaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := core.SelectGPUFleetContext(context.Background(), d.X, d.Y, g, healthyFleet, core.GPUOptions{KeepScores: true})
+	healthy, err := core.SelectGPUFleet(context.Background(), d.X, d.Y, g, healthyFleet, core.GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFaultPathCancellationReleasesWorkspaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		tw := newTripwire(after)
-		r, err := core.SelectGPUFleetContext(tw, d.X, d.Y, g, m, core.GPUOptions{KeepScores: true})
+		r, err := core.SelectGPUFleet(tw, d.X, d.Y, g, m, core.GPUOptions{KeepScores: true})
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("threshold %d: error is %v, want context.Canceled", after, err)

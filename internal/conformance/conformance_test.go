@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/kernreg"
 )
 
 // TestAgreementMatrix is the tentpole check: every registered selector,
@@ -71,6 +73,21 @@ func TestRegistryNamesUnique(t *testing.T) {
 		seen[s.Name] = true
 		if s.Run == nil {
 			t.Errorf("selector %q has no Run", s.Name)
+		}
+	}
+}
+
+// TestRegistryCoversEveryMethod: every method in kernreg's method table
+// has a registry entry of the same name, so a new method cannot ship
+// without joining the agreement matrix.
+func TestRegistryCoversEveryMethod(t *testing.T) {
+	registered := map[string]bool{}
+	for _, s := range Registry() {
+		registered[s.Name] = true
+	}
+	for _, m := range kernreg.Methods() {
+		if !registered[m.String()] {
+			t.Errorf("kernreg method %q has no conformance registry entry", m)
 		}
 	}
 }

@@ -23,13 +23,13 @@ func singleNode(t *testing.T, method string, x, y []float64, g bandwidth.Grid) b
 	)
 	switch method {
 	case "window":
-		res, err = bandwidth.WindowGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.WindowGridSearch(ctx, x, y, g, kernel.Epanechnikov)
 	case "sorted":
-		res, err = bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.SortedGridSearch(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case "twopointer":
-		res, err = bandwidth.TwoPointerGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.TwoPointerGridSearch(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case "naive":
-		res, err = bandwidth.NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.NaiveGridSearch(ctx, x, y, g, kernel.Epanechnikov)
 	default:
 		t.Fatalf("no reference for %q", method)
 	}

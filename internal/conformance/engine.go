@@ -221,9 +221,9 @@ func runOracle(d Dataset, g bandwidth.Grid, fam Family, k kernel.Kind) (bandwidt
 	case k == kernel.Epanechnikov:
 		return oracleFor(fam).Run(ctx, d.X, d.Y, g)
 	case fam == LocalLinear:
-		return bandwidth.NaiveGridSearchLocalLinearContext(ctx, d.X, d.Y, g, k)
+		return bandwidth.NaiveGridSearchLocalLinear(ctx, d.X, d.Y, g, k)
 	default:
-		return bandwidth.NaiveGridSearchContext(ctx, d.X, d.Y, g, k)
+		return bandwidth.NaiveGridSearch(ctx, d.X, d.Y, g, k)
 	}
 }
 

@@ -208,7 +208,7 @@ func MVSelectors() []MVSelector {
 		{
 			Name: "mesh-sweep", Mesh: true,
 			Run: func(ctx context.Context, s mvreg.Sample, grids [][]float64) (mvreg.Result, error) {
-				return mvreg.MeshSearchContext(ctx, s, grids, kernel.Epanechnikov)
+				return mvreg.MeshSearch(ctx, s, grids, kernel.Epanechnikov)
 			},
 		},
 		{
@@ -217,7 +217,7 @@ func MVSelectors() []MVSelector {
 			// internal/mvreg hold it to the sequential sweep's answer.
 			Name: "mesh-parallel", Mesh: true,
 			Run: func(ctx context.Context, s mvreg.Sample, grids [][]float64) (mvreg.Result, error) {
-				return mvreg.MeshSearchParallelContext(ctx, s, grids, kernel.Epanechnikov, 3)
+				return mvreg.MeshSearchParallel(ctx, s, grids, kernel.Epanechnikov, 3)
 			},
 		},
 		{
@@ -226,13 +226,13 @@ func MVSelectors() []MVSelector {
 			// no Epanechnikov oracle applies, so it is checked for
 			// self-consistency against its own kernel's CVScore.
 			Run: func(ctx context.Context, s mvreg.Sample, grids [][]float64) (mvreg.Result, error) {
-				return mvreg.MeshSearchContext(ctx, s, grids, kernel.Triangular)
+				return mvreg.MeshSearch(ctx, s, grids, kernel.Triangular)
 			},
 		},
 		{
 			Name: "coordinate-descent", Mesh: false,
 			Run: func(ctx context.Context, s mvreg.Sample, grids [][]float64) (mvreg.Result, error) {
-				return mvreg.CoordinateDescentContext(ctx, s, grids, 0)
+				return mvreg.CoordinateDescent(ctx, s, grids, 0)
 			},
 		},
 	}

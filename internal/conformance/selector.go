@@ -131,8 +131,7 @@ type Selector struct {
 	MinK int
 	// Run executes one selection. Implementations must not mutate x, y
 	// or g (the engine runs selectors concurrently in the race tests).
-	// Adapters pass ctx straight through to the backend (or poll it at
-	// entry for backends without a context-aware variant); they must not
+	// Adapters pass ctx straight through to the backend; they must not
 	// derive a new context from it, so that the cancellation conformance
 	// tests can observe exactly the ctx they hand in.
 	Run func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error)
@@ -147,41 +146,31 @@ func Registry() []Selector {
 		{
 			Name: "naive", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
+				return bandwidth.NaiveGridSearch(ctx, x, y, g, kernel.Epanechnikov)
 			},
 		},
 		{
 			Name: "sorted", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
-		},
-		{
-			// sorted-ctx exercises the context-aware entry point directly
-			// (the "sorted" adapter above reaches the same code, but this
-			// pins the exported Context variant into the agreement matrix
-			// so a divergence in the delegation shim cannot hide).
-			Name: "sorted-ctx", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+				return bandwidth.SortedGridSearch(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "sorted-parallel", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchParallelContext(ctx, x, y, g, 4)
+				return bandwidth.SortedGridSearchParallel(ctx, x, y, g, 4, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "twopointer", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+				return bandwidth.TwoPointerGridSearch(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "twopointer-parallel", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchParallelContext(ctx, x, y, g, 4)
+				return bandwidth.TwoPointerGridSearchParallel(ctx, x, y, g, 4, bandwidth.Compensated)
 			},
 		},
 		windowSelector("window", kernel.Epanechnikov),
@@ -222,19 +211,19 @@ func Registry() []Selector {
 		{
 			Name: "sorted-f32", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return core.SortedSequentialContext(ctx, x, y, g)
+				return core.SortedSequential(ctx, x, y, g, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "twopointer-f32", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return core.TwoPointerSequentialContext(ctx, x, y, g)
+				return core.TwoPointerSequential(ctx, x, y, g, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "gpu", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				r, _, err := core.SelectGPUContext(ctx, x, y, g, core.GPUOptions{KeepScores: true})
+				r, _, err := core.SelectGPU(ctx, x, y, g, core.GPUOptions{KeepScores: true})
 				return r, err
 			},
 		},
@@ -248,14 +237,14 @@ func Registry() []Selector {
 				if n := len(x); chunk > n {
 					chunk = n
 				}
-				r, _, _, err := core.SelectGPUTiledContext(ctx, x, y, g, core.TiledOptions{ChunkSize: chunk, KeepScores: true})
+				r, _, _, err := core.SelectGPUTiled(ctx, x, y, g, core.TiledOptions{ChunkSize: chunk, KeepScores: true})
 				return r, err
 			},
 		},
 		{
 			Name: "gpu-multi", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				r, err := core.SelectGPUMultiContext(ctx, x, y, g, 3, core.GPUOptions{KeepScores: true})
+				r, err := core.SelectGPUMulti(ctx, x, y, g, 3, core.GPUOptions{KeepScores: true})
 				return r.Result, err
 			},
 		},
@@ -274,26 +263,26 @@ func Registry() []Selector {
 				if err := m.InjectXID(1, 79, 1); err != nil {
 					return bandwidth.Result{}, err
 				}
-				r, err := core.SelectGPUFleetContext(ctx, x, y, g, m, core.GPUOptions{KeepScores: true})
+				r, err := core.SelectGPUFleet(ctx, x, y, g, m, core.GPUOptions{KeepScores: true})
 				return r.Result, err
 			},
 		},
 		{
 			Name: "ll-naive", Class: Exact, Family: LocalLinear, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.NaiveGridSearchLocalLinearContext(ctx, x, y, g, kernel.Epanechnikov)
+				return bandwidth.NaiveGridSearchLocalLinear(ctx, x, y, g, kernel.Epanechnikov)
 			},
 		},
 		{
 			Name: "ll-sorted", Class: Exact, Family: LocalLinear, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchLocalLinearContext(ctx, x, y, g)
+				return bandwidth.SortedGridSearchLocalLinear(ctx, x, y, g, bandwidth.Compensated)
 			},
 		},
 		{
 			Name: "ll-twopointer", Class: Exact, Family: LocalLinear, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchLocalLinearContext(ctx, x, y, g)
+				return bandwidth.TwoPointerGridSearchLocalLinear(ctx, x, y, g, bandwidth.Compensated)
 			},
 		},
 		{
@@ -307,7 +296,7 @@ func Registry() []Selector {
 				if m < 2 {
 					m = 2
 				}
-				r, err := bandwidth.BaggedGridSearchContext(ctx, x, y, g, kernel.Epanechnikov, bandwidth.BaggedOptions{
+				r, err := bandwidth.BaggedGridSearch(ctx, x, y, g, kernel.Epanechnikov, bandwidth.BaggedOptions{
 					Bags: 5, BagSize: m, Seed: 20170529, Workers: 2,
 				})
 				if err != nil {
@@ -319,7 +308,7 @@ func Registry() []Selector {
 		{
 			Name: "numerical", Class: Continuum, Family: LocalConstant, MinN: 3, MinK: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				r, err := baselines.SelectNumericalContext(ctx, x, y, baselines.Options{
+				r, err := baselines.SelectNumerical(ctx, x, y, baselines.Options{
 					Kernel: kernel.Epanechnikov,
 					Lo:     g.Min(),
 					Hi:     g.Max(),
@@ -338,7 +327,7 @@ func windowSelector(name string, k kernel.Kind) Selector {
 	return Selector{
 		Name: name, Class: Exact, Family: LocalConstant, Kernel: k, MinN: 2,
 		Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-			return bandwidth.WindowGridSearchContext(ctx, x, y, g, k)
+			return bandwidth.WindowGridSearch(ctx, x, y, g, k)
 		},
 	}
 }

@@ -108,8 +108,7 @@ func maxScoreErr(t *testing.T, a, b []float64) float64 {
 // accumulation — the battery's reference score vector.
 func oracle64(t *testing.T, c stabilityCase) []float64 {
 	t.Helper()
-	r, err := bandwidth.SortedGridSearchKernelStabilityContext(
-		context.Background(), c.x, c.y, c.g, kernel.Epanechnikov, bandwidth.Compensated)
+	r, err := bandwidth.SortedGridSearch(context.Background(), c.x, c.y, c.g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatalf("float64 oracle: %v", err)
 	}
@@ -127,11 +126,11 @@ func TestStabilityHostFloat32(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			ref := oracle64(t, c)
-			comp, err := core.SortedSequentialContext(context.Background(), c.x, c.y, c.g)
+			comp, err := core.SortedSequential(context.Background(), c.x, c.y, c.g, bandwidth.Compensated)
 			if err != nil {
 				t.Fatalf("compensated sweep: %v", err)
 			}
-			uncomp, err := core.SortedSequentialUncompensatedContext(context.Background(), c.x, c.y, c.g)
+			uncomp, err := core.SortedSequential(context.Background(), c.x, c.y, c.g, bandwidth.Uncompensated)
 			if err != nil {
 				t.Fatalf("uncompensated sweep: %v", err)
 			}
@@ -163,15 +162,15 @@ func TestStabilityDeviceFloat32(t *testing.T) {
 		run  func(c stabilityCase, uncompensated bool) (bandwidth.Result, error)
 	}{
 		{"gpu", func(c stabilityCase, un bool) (bandwidth.Result, error) {
-			r, _, err := core.SelectGPUContext(ctx, c.x, c.y, c.g, core.GPUOptions{KeepScores: true, Uncompensated: un})
+			r, _, err := core.SelectGPU(ctx, c.x, c.y, c.g, core.GPUOptions{KeepScores: true, Uncompensated: un})
 			return r, err
 		}},
 		{"gpu-tiled", func(c stabilityCase, un bool) (bandwidth.Result, error) {
-			r, _, _, err := core.SelectGPUTiledContext(ctx, c.x, c.y, c.g, core.TiledOptions{ChunkSize: 256, KeepScores: true, Uncompensated: un})
+			r, _, _, err := core.SelectGPUTiled(ctx, c.x, c.y, c.g, core.TiledOptions{ChunkSize: 256, KeepScores: true, Uncompensated: un})
 			return r, err
 		}},
 		{"gpu-multi", func(c stabilityCase, un bool) (bandwidth.Result, error) {
-			r, err := core.SelectGPUMultiContext(ctx, c.x, c.y, c.g, 3, core.GPUOptions{KeepScores: true, Uncompensated: un})
+			r, err := core.SelectGPUMulti(ctx, c.x, c.y, c.g, 3, core.GPUOptions{KeepScores: true, Uncompensated: un})
 			return r.Result, err
 		}},
 	}

@@ -73,10 +73,9 @@ type Config struct {
 type Job struct {
 	X, Y []float64
 	Grid bandwidth.Grid
-	// Method is the worker-side selector: "window", "sorted",
-	// "twopointer", "naive", "sorted-parallel" or "twopointer-parallel";
-	// "" means kernreg.DefaultMethod. Only the float64 host family is
-	// shardable (bit-identity per grid point).
+	// Method is the worker-side selector, one kernreg reports shardable
+	// for Kernel (kernreg.ShardMethod; bit-identity per grid point); ""
+	// means kernreg.DefaultMethod.
 	Method string
 	// Kernel is the kernel name; "" means "epanechnikov".
 	Kernel string
@@ -137,20 +136,6 @@ func New(cfg Config) (*Coordinator, error) {
 // Metrics exposes the coordinator's counters (rendered by /metrics).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
-// shardMethod validates a Job.Method and returns the kernreg.Method
-// used in the cache fingerprint and sent to the workers. The empty name
-// is kernreg.DefaultMethod, the same default kernregd applies.
-func shardMethod(name string) (kernreg.Method, error) {
-	if name == "" {
-		return kernreg.DefaultMethod, nil
-	}
-	switch name {
-	case "sorted", "twopointer", "naive", "sorted-parallel", "twopointer-parallel", "window":
-		return kernreg.ParseMethod(name)
-	}
-	return 0, fmt.Errorf("coord: method %q is not shardable (want window, sorted, twopointer, naive, or a -parallel variant)", name)
-}
-
 // Select runs one sharded selection. The result is bit-identical to
 // running the same job on a single replica.
 //
@@ -162,15 +147,12 @@ func (c *Coordinator) Select(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	method, err := shardMethod(job.Method)
-	if err != nil {
-		return Result{}, err
-	}
 	kernelName := job.Kernel
 	if kernelName == "" {
 		kernelName = kernel.Epanechnikov.String()
 	}
-	if _, err := kernel.Parse(kernelName); err != nil {
+	method, err := kernreg.ShardMethod(job.Method, kernelName)
+	if err != nil {
 		return Result{}, fmt.Errorf("coord: %w", err)
 	}
 	if len(job.X) != len(job.Y) {

@@ -62,13 +62,13 @@ func single(t *testing.T, job Job) bandwidth.Result {
 	ctx := context.Background()
 	switch job.Method {
 	case "", "window":
-		res, err = bandwidth.WindowGridSearchContext(ctx, job.X, job.Y, job.Grid, kern)
+		res, err = bandwidth.WindowGridSearch(ctx, job.X, job.Y, job.Grid, kern)
 	case "sorted":
-		res, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
+		res, err = bandwidth.SortedGridSearch(ctx, job.X, job.Y, job.Grid, kern, st)
 	case "twopointer":
-		res, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
+		res, err = bandwidth.TwoPointerGridSearch(ctx, job.X, job.Y, job.Grid, kern, st)
 	case "naive":
-		res, err = bandwidth.NaiveGridSearchContext(ctx, job.X, job.Y, job.Grid, kern)
+		res, err = bandwidth.NaiveGridSearch(ctx, job.X, job.Y, job.Grid, kern)
 	default:
 		t.Fatalf("no single-node reference for method %q", job.Method)
 	}

@@ -3,8 +3,14 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 func postSelect(t *testing.T, s *Server, body any) *httptest.ResponseRecorder {
@@ -129,5 +135,51 @@ func TestServerRejectsRawBodies(t *testing.T) {
 		if w.Code != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.code, w.Body.String())
 		}
+	}
+}
+
+// TestServerRejectsUnrunnablePairBeforeSharding: a shardable method
+// paired with a kernel it cannot run is a 400 from the coordinator
+// itself — no worker ever receives a /v1/shard request for it. The
+// supported pair at the end proves the counter sees real fan-out.
+func TestServerRejectsUnrunnablePairBeforeSharding(t *testing.T) {
+	var shards atomic.Int64
+	var workers []*Worker
+	for i := 0; i < 2; i++ {
+		h := serve.New(serve.Config{Workers: 2}).Handler()
+		workers = append(workers, InProcess(fmt.Sprintf("w%d", i), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				shards.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})))
+	}
+	c, err := New(Config{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(c, ServerConfig{})
+	x, y := testData(60, 23)
+	for _, tc := range []struct{ method, kernel string }{
+		{"sorted-parallel", "uniform"},
+		{"twopointer-parallel", "uniform"},
+		{"window", "gaussian"},
+	} {
+		w := postSelect(t, s, SelectRequest{X: x, Y: y, Method: tc.method, Kernel: tc.kernel, GridSize: 10})
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s + %s: status %d, want 400: %s", tc.method, tc.kernel, w.Code, w.Body.String())
+		}
+		if strings.Contains(w.Body.String(), "worker returned") {
+			t.Errorf("%s + %s: rejected by a worker, not the coordinator: %s", tc.method, tc.kernel, w.Body.String())
+		}
+	}
+	if n := shards.Load(); n != 0 {
+		t.Fatalf("workers received %d /v1/shard requests for unrunnable pairs, want 0", n)
+	}
+	if w := postSelect(t, s, SelectRequest{X: x, Y: y, Method: "window", Kernel: "uniform", GridSize: 10}); w.Code != http.StatusOK {
+		t.Fatalf("window + uniform: status %d: %s", w.Code, w.Body.String())
+	}
+	if shards.Load() == 0 {
+		t.Fatal("a supported pair reached no worker: the shard counter is not wired")
 	}
 }

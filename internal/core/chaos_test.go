@@ -30,7 +30,7 @@ func chaosSetup(t *testing.T) (data.Dataset, bandwidth.Grid, MultiGPUResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
+	healthy, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestChaosBattery(t *testing.T) {
 						injWG.Add(1)
 						go func() { defer injWG.Done(); concurrent() }()
 					}
-					r, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
+					r, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
 					injWG.Wait()
 					if err != nil {
 						// With one faulted device out of three, survivors
@@ -151,7 +151,7 @@ func TestChaosCountersDeterministic(t *testing.T) {
 	if err := m.InjectFallOffBus(1); err != nil {
 		t.Fatal(err)
 	}
-	r, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
+	r, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestChaosCountersDeterministic(t *testing.T) {
 	if err := m2.InjectXID(2, 48, 1); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m2, GPUOptions{KeepScores: true})
+	r2, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m2, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestChaosAllDevicesLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m, GPUOptions{})
+	r, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m, GPUOptions{})
 	if !errors.Is(err, ErrNoHealthyDevices) {
 		t.Fatalf("err = %v, want ErrNoHealthyDevices", err)
 	}
@@ -223,7 +223,7 @@ func TestChaosAllDevicesLost(t *testing.T) {
 	if err := m1.InjectXID(0, 79, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SelectGPUFleetContext(context.Background(), d.X, d.Y, g, m1, GPUOptions{}); !errors.Is(err, ErrNoHealthyDevices) {
+	if _, err := SelectGPUFleet(context.Background(), d.X, d.Y, g, m1, GPUOptions{}); !errors.Is(err, ErrNoHealthyDevices) {
 		t.Fatalf("single-device XID: err = %v, want ErrNoHealthyDevices", err)
 	}
 }
@@ -239,8 +239,8 @@ func FuzzMultiGPUFaultPlan(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(4), uint8(3), uint8(2), uint8(9))
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, nn, kk, dd, fdev, fkind, fstep uint8) {
-		n := 2 + int(nn)%129    // 2..130
-		k := 1 + int(kk)%16     // 1..16
+		n := 2 + int(nn)%129     // 2..130
+		k := 1 + int(kk)%16      // 1..16
 		devices := 1 + int(dd)%4 // 1..4
 		d := data.GeneratePaper(n, 1)
 		g, err := bandwidth.DefaultGrid(d.X, k)
@@ -252,7 +252,7 @@ func FuzzMultiGPUFaultPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SelectGPUFleetContext(ctx, d.X, d.Y, g, hm, GPUOptions{KeepScores: true})
+		want, err := SelectGPUFleet(ctx, d.X, d.Y, g, hm, GPUOptions{KeepScores: true})
 		if err != nil {
 			t.Fatalf("healthy fleet run failed: %v", err)
 		}
@@ -273,7 +273,7 @@ func FuzzMultiGPUFaultPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("injection: %v", err)
 		}
-		got, err := SelectGPUFleetContext(ctx, d.X, d.Y, g, m, GPUOptions{KeepScores: true})
+		got, err := SelectGPUFleet(ctx, d.X, d.Y, g, m, GPUOptions{KeepScores: true})
 		if err != nil {
 			if !gpu.IsDeviceFault(err) && !errors.Is(err, ErrNoHealthyDevices) {
 				t.Fatalf("untyped error from faulted fleet: %v", err)
@@ -298,7 +298,7 @@ func FuzzMultiGPUFaultPlan(f *testing.F) {
 		if chunk > n {
 			chunk = n
 		}
-		tiled, _, _, err := SelectGPUTiledContext(ctx, d.X, d.Y, g, TiledOptions{ChunkSize: chunk})
+		tiled, _, _, err := SelectGPUTiled(ctx, d.X, d.Y, g, TiledOptions{ChunkSize: chunk})
 		if err != nil {
 			t.Fatalf("tiled reference: %v", err)
 		}

@@ -3,8 +3,6 @@
 //   - SortedSequential — the "Sequential C" program (Program 3): the sorted
 //     incremental grid search in single precision, using the same iterative
 //     QuickSort and accumulation order as the device code.
-//   - SortedParallel — the native Go (goroutine) port of the same algorithm,
-//     the form a downstream Go user would actually run on a multicore host.
 //   - SelectGPU — the "CUDA on GPU" program (Program 4): the full device
 //     pipeline (fill + per-thread sort + incremental bandwidth sweep +
 //     index-switched residual matrix + Harris reductions) executed on the
@@ -65,38 +63,16 @@ func (s Selector) String() string {
 // correctness protocol, the sequential and device programs can be checked
 // against each other for identical per-observation residuals.
 //
-// The prefix sums and the cross-observation score accumulation use
-// Neumaier compensation; SortedSequentialUncompensated preserves the
-// paper's plain float32 accumulation for ablation and agreement tests.
-func SortedSequential(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return SortedSequentialContext(context.Background(), x, y, g)
-}
-
-// SortedSequentialUncompensated runs Program 3 with the paper's original
-// plain float32 running sums (no compensation). Kept so the stability
-// battery can measure how much error compensation removes, and so
-// agreement tests can still reproduce the exact arithmetic of the
-// paper's C program.
-func SortedSequentialUncompensated(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return SortedSequentialUncompensatedContext(context.Background(), x, y, g)
-}
-
-// SortedSequentialContext is SortedSequential with cooperative
-// cancellation, polled once per observation (one row's fill + sort +
-// sweep). Cancellation returns ctx.Err() and a zero Result; the check
-// only early-exits, leaving the float32 arithmetic of a completed run
-// bit-identical.
-func SortedSequentialContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return sortedSequential(ctx, x, y, g, false)
-}
-
-// SortedSequentialUncompensatedContext is SortedSequentialUncompensated
-// with cooperative cancellation.
-func SortedSequentialUncompensatedContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return sortedSequential(ctx, x, y, g, true)
-}
-
-func sortedSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, uncompensated bool) (bandwidth.Result, error) {
+// With st == bandwidth.Compensated (the zero value) the prefix sums and
+// the cross-observation score accumulation use Neumaier compensation;
+// bandwidth.Uncompensated keeps the paper's plain float32 running sums,
+// so the stability battery can measure how much error compensation
+// removes and agreement tests can reproduce the exact arithmetic of the
+// paper's C program. ctx is polled once per observation (one row's
+// fill + sort + sweep); cancellation returns ctx.Err() and a zero Result,
+// and the check only early-exits, leaving the float32 arithmetic of a
+// completed run unchanged.
+func SortedSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, st bandwidth.Stability) (bandwidth.Result, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return bandwidth.Result{}, err
 	}
@@ -117,7 +93,7 @@ func sortedSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, unc
 		}
 		fillRow(xs, ys, j, absRow, yRow)
 		cuda.DeviceQuickSort(absRow, yRow)
-		if uncompensated {
+		if st == bandwidth.Uncompensated {
 			accumulateRow(absRow, yRow, ys[j], hs, scores)
 		} else {
 			accumulateRowCompensated(absRow, yRow, ys[j], hs, scores, comp)
@@ -128,14 +104,6 @@ func sortedSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, unc
 		out[jh] = float64(scores[jh]+comp[jh]) / float64(n)
 	}
 	return bandwidth.Best(g, out), nil
-}
-
-// SortedParallel runs the native multicore port of the sorted grid search
-// (double precision, goroutine per worker). workers <= 0 selects
-// GOMAXPROCS. This is not one of the paper's four programs; it is the
-// deliverable a Go user adopts, and the harness reports it alongside them.
-func SortedParallel(x, y []float64, g bandwidth.Grid, workers int) (bandwidth.Result, error) {
-	return bandwidth.SortedGridSearchParallel(x, y, g, workers)
 }
 
 // fillRow computes absRow[i] = |x[i]−x[j]| and yRow[i] = y[i] for all i,

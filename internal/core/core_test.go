@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -45,11 +46,11 @@ func TestSortedSequentialMatchesFloat64(t *testing.T) {
 	for _, seed := range []int64{1, 5, 9} {
 		for _, n := range []int{20, 100, 400} {
 			d, g := paperSetup(t, n, 30, seed)
-			f64, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+			f64, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f32, err := SortedSequential(d.X, d.Y, g)
+			f32, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +69,11 @@ func TestSortedSequentialMatchesFloat64(t *testing.T) {
 
 func TestSortedParallelWraps(t *testing.T) {
 	d, g := paperSetup(t, 200, 20, 3)
-	seq, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	seq, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SortedParallel(d.X, d.Y, g, 4)
+	par, err := bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, 4, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestGPUMatchesSequentialC(t *testing.T) {
 	for _, seed := range []int64{2, 7, 11} {
 		for _, cfg := range []struct{ n, k int }{{30, 5}, {100, 20}, {257, 50}, {512, 64}} {
 			d, g := paperSetup(t, cfg.n, cfg.k, seed)
-			seq, err := SortedSequential(d.X, d.Y, g)
+			seq, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gpuRes, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{KeepScores: true})
+			gpuRes, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{KeepScores: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +116,11 @@ func TestGPUMatchesSequentialC(t *testing.T) {
 
 func TestGPUMatchesNaive(t *testing.T) {
 	d, g := paperSetup(t, 150, 25, 13)
-	naive, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	naive, err := bandwidth.NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuRes, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+	gpuRes, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestGPUMatchesNaive(t *testing.T) {
 
 func TestGPUIndexArgMinVariant(t *testing.T) {
 	d, g := paperSetup(t, 120, 30, 4)
-	a, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+	a, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{UseIndexArgMin: true})
+	b, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{UseIndexArgMin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestGPUOtherDGPs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := SortedSequential(d.X, d.Y, g)
+		seq, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpuRes, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+		gpuRes, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", dgp, err)
 		}
@@ -169,7 +170,7 @@ func TestGPUOtherDGPs(t *testing.T) {
 
 func TestGPUReport(t *testing.T) {
 	d, g := paperSetup(t, 300, 50, 42)
-	_, rep, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+	_, rep, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestGPUConstCacheCliff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = SelectGPU(d.X, d.Y, g2049, GPUOptions{})
+	_, _, err = SelectGPU(context.Background(), d.X, d.Y, g2049, GPUOptions{})
 	if !errors.Is(err, gpu.ErrConstCacheExceeded) {
 		t.Errorf("k=2049 should hit the constant cache limit, got %v", err)
 	}
@@ -241,7 +242,7 @@ func TestPlanMatchesFunctionalTallies(t *testing.T) {
 	// EXPERIMENTS.md.
 	for _, cfg := range []struct{ n, k int }{{256, 20}, {512, 50}, {1000, 50}} {
 		d, g := paperSetup(t, cfg.n, cfg.k, 31)
-		_, rep, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+		_, rep, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +278,7 @@ func TestPlanModelledTimeTracksFunctional(t *testing.T) {
 	// End-to-end modelled seconds: the analytic plan should be within
 	// 30% of the functional pipeline's modelled clock.
 	d, g := paperSetup(t, 500, 50, 8)
-	_, rep, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+	_, rep, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +352,13 @@ func TestVerifyAgreement(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	g := bandwidth.Grid{H: []float64{0.5}}
-	if _, err := SortedSequential([]float64{1, 2}, []float64{1}, g); err == nil {
+	if _, err := SortedSequential(context.Background(), []float64{1, 2}, []float64{1}, g, bandwidth.Compensated); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SortedSequential([]float64{1}, []float64{1}, g); err == nil {
+	if _, err := SortedSequential(context.Background(), []float64{1}, []float64{1}, g, bandwidth.Compensated); err == nil {
 		t.Error("single observation should fail")
 	}
-	if _, _, err := SelectGPU([]float64{1, 2}, []float64{1, 2}, bandwidth.Grid{}, GPUOptions{}); err == nil {
+	if _, _, err := SelectGPU(context.Background(), []float64{1, 2}, []float64{1, 2}, bandwidth.Grid{}, GPUOptions{}); err == nil {
 		t.Error("empty grid should fail")
 	}
 }
@@ -365,11 +366,11 @@ func TestInputValidation(t *testing.T) {
 func TestGPUSmallBlockDim(t *testing.T) {
 	// n smaller than the block size: one truncated block.
 	d, g := paperSetup(t, 10, 5, 2)
-	res, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+	res, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := SortedSequential(d.X, d.Y, g)
+	seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if res.Index != seq.Index {
 		t.Errorf("tiny-n GPU selection %d vs %d", res.Index, seq.Index)
 	}
@@ -378,11 +379,11 @@ func TestGPUSmallBlockDim(t *testing.T) {
 func TestGPUCustomBlockDim(t *testing.T) {
 	d, g := paperSetup(t, 200, 10, 6)
 	for _, bd := range []int{32, 128, 512} {
-		res, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{BlockDim: bd, ReduceDim: 64})
+		res, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{BlockDim: bd, ReduceDim: 64})
 		if err != nil {
 			t.Fatalf("blockDim %d: %v", bd, err)
 		}
-		seq, _ := SortedSequential(d.X, d.Y, g)
+		seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if res.Index != seq.Index {
 			t.Errorf("blockDim %d: index %d vs %d", bd, res.Index, seq.Index)
 		}
@@ -395,11 +396,11 @@ func TestGPUFootnoteKernels(t *testing.T) {
 	// search for each.
 	d, g := paperSetup(t, 250, 25, 19)
 	for _, kn := range []kernel.Kind{kernel.Uniform, kernel.Triangular, kernel.Epanechnikov} {
-		host, err := bandwidth.SortedGridSearchKernel(d.X, d.Y, g, kn)
+		host, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kn, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{Kernel: kn, KeepScores: true})
+		dev, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{Kernel: kn, KeepScores: true})
 		if err != nil {
 			t.Fatalf("%v: %v", kn, err)
 		}
@@ -414,7 +415,7 @@ func TestGPUFootnoteKernels(t *testing.T) {
 		}
 	}
 	// Unsupported kernel fails loudly.
-	if _, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{Kernel: kernel.Gaussian}); err == nil {
+	if _, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{Kernel: kernel.Gaussian}); err == nil {
 		t.Error("gaussian on the device should be rejected")
 	}
 }

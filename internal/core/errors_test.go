@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestSelectGPUTiledPropagatesOOM(t *testing.T) {
 	}
 	props := gpu.TeslaS10()
 	props.GlobalMemBytes = 1 << 12
-	_, _, _, err = SelectGPUTiled(d.X, d.Y, g, TiledOptions{Props: props})
+	_, _, _, err = SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{Props: props})
 	if err == nil {
 		t.Fatal("tiled pipeline ran with 4 KB of device memory")
 	}
@@ -71,7 +72,7 @@ func TestSelectGPUTiledExplicitChunkTooBigStillRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, chunk, err := SelectGPUTiled(d.X, d.Y, g, TiledOptions{ChunkSize: 10_000})
+	r, _, chunk, err := SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{ChunkSize: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +92,16 @@ func TestCoreSelectorsRejectInvalidSamples(t *testing.T) {
 		"len-skew": {{1, 2, 3}, {1, 2}},
 	}
 	for name, c := range cases {
-		if _, err := SortedSequential(c[0], c[1], g); err == nil {
+		if _, err := SortedSequential(context.Background(), c[0], c[1], g, bandwidth.Compensated); err == nil {
 			t.Errorf("SortedSequential accepted %s", name)
 		}
-		if _, _, err := SelectGPU(c[0], c[1], g, GPUOptions{}); err == nil {
+		if _, _, err := SelectGPU(context.Background(), c[0], c[1], g, GPUOptions{}); err == nil {
 			t.Errorf("SelectGPU accepted %s", name)
 		}
-		if _, _, _, err := SelectGPUTiled(c[0], c[1], g, TiledOptions{}); err == nil {
+		if _, _, _, err := SelectGPUTiled(context.Background(), c[0], c[1], g, TiledOptions{}); err == nil {
 			t.Errorf("SelectGPUTiled accepted %s", name)
 		}
-		if _, err := SelectGPUMulti(c[0], c[1], g, 2, GPUOptions{}); err == nil {
+		if _, err := SelectGPUMulti(context.Background(), c[0], c[1], g, 2, GPUOptions{}); err == nil {
 			t.Errorf("SelectGPUMulti accepted %s", name)
 		}
 	}
@@ -112,10 +113,10 @@ func TestCoreSelectorsRejectInvalidSamples(t *testing.T) {
 		"descending":      {H: []float64{0.5, 0.2}},
 		"duplicate-point": {H: []float64{0.5, 0.5}},
 	} {
-		if _, err := SortedSequential(x, y, bad); err == nil {
+		if _, err := SortedSequential(context.Background(), x, y, bad, bandwidth.Compensated); err == nil {
 			t.Errorf("SortedSequential accepted %s", name)
 		}
-		if _, _, err := SelectGPU(x, y, bad, GPUOptions{}); err == nil {
+		if _, _, err := SelectGPU(context.Background(), x, y, bad, GPUOptions{}); err == nil {
 			t.Errorf("SelectGPU accepted %s", name)
 		}
 	}

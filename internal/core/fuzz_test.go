@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -75,12 +76,11 @@ func FuzzTiledVsSorted(f *testing.F) {
 		}
 		chunk := 1 + int(chunkByte)%len(x)
 
-		ref, err := core.SortedSequential(x, y, g)
+		ref, err := core.SortedSequential(context.Background(), x, y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatalf("sorted reference: %v", err)
 		}
-		tiled, _, usedChunk, err := core.SelectGPUTiled(x, y, g,
-			core.TiledOptions{ChunkSize: chunk, KeepScores: true})
+		tiled, _, usedChunk, err := core.SelectGPUTiled(context.Background(), x, y, g, core.TiledOptions{ChunkSize: chunk, KeepScores: true})
 		if err != nil {
 			t.Fatalf("tiled (chunk %d): %v", chunk, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -55,9 +56,15 @@ var goldenSelectors = []struct {
 	name string
 	run  func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error)
 }{
-	{"sorted", bandwidth.SortedGridSearch},
-	{"twopointer", bandwidth.TwoPointerGridSearch},
-	{"twopointer-f32", TwoPointerSequential},
+	{"sorted", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return bandwidth.SortedGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
+	}},
+	{"twopointer", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return bandwidth.TwoPointerGridSearch(context.Background(), x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
+	}},
+	{"twopointer-f32", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return TwoPointerSequential(context.Background(), x, y, g, bandwidth.Compensated)
+	}},
 }
 
 func currentGolden(t *testing.T) []goldenEntry {
@@ -149,8 +156,7 @@ func TestGoldenBaggedDegenerate(t *testing.T) {
 		// The seed must be irrelevant on the degenerate path: every bag is
 		// the full sample.
 		for _, seed := range []uint64{0, 7} {
-			r, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov,
-				bandwidth.BaggedOptions{Bags: 1, BagSize: w.N, Seed: seed})
+			r, err := bandwidth.BaggedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.BaggedOptions{Bags: 1, BagSize: w.N, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +201,7 @@ func TestGoldenWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := bandwidth.WindowGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+		r, err := bandwidth.WindowGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,39 +227,39 @@ func TestGoldenAllSelectorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+		sorted, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := SortedSequential(d.X, d.Y, g)
+		seq, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpuRes, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{})
+		gpuRes, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiledRes, _, _, err := SelectGPUTiled(d.X, d.Y, g, TiledOptions{ChunkSize: 64})
+		tiledRes, _, _, err := SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{ChunkSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := SelectGPUMulti(d.X, d.Y, g, 3, GPUOptions{})
+		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, 3, GPUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := SortedParallel(d.X, d.Y, g, 4)
+		par, err := bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, 4, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g)
+		tp, err := bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tpPar, err := bandwidth.TwoPointerGridSearchParallel(d.X, d.Y, g, 4)
+		tpPar, err := bandwidth.TwoPointerGridSearchParallel(context.Background(), d.X, d.Y, g, 4, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tpF32, err := TwoPointerSequential(d.X, d.Y, g)
+		tpF32, err := TwoPointerSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,12 +286,12 @@ func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{KeepScores: true})
+	first, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{KeepScores: true})
+		again, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{KeepScores: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +306,12 @@ func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 	}
 	// The concurrent engines too (barrier path): reductions must be
 	// deterministic because the tree order is fixed by thread id.
-	firstPar, err := SortedParallel(d.X, d.Y, g, 8)
+	firstPar, err := bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, 8, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := SortedParallel(d.X, d.Y, g, 8)
+		again, err := bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, 8, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,19 +89,15 @@ type GPUReport struct {
 //  3. k summation reductions (one per bandwidth) and one arg-min
 //     reduction, both Harris-style single-block trees;
 //  4. copy the winner back.
-func SelectGPU(x, y []float64, g bandwidth.Grid, opt GPUOptions) (bandwidth.Result, *GPUReport, error) {
-	return SelectGPUContext(context.Background(), x, y, g, opt)
-}
-
-// SelectGPUContext is SelectGPU with cooperative cancellation at the
-// pipeline-stage boundaries the host controls: before the upload, before
-// the main kernel, and once per reduction launch (the k summation
-// reductions dominate the post-kernel host loop). A single simulated
-// kernel launch is atomic — exactly as a real CUDA launch is — so
-// cancellation granularity inside the device is one launch; the tiled
-// pipeline offers finer per-chunk cancellation. Cancellation returns
-// ctx.Err() and a zero Result.
-func SelectGPUContext(ctx context.Context, x, y []float64, g bandwidth.Grid, opt GPUOptions) (bandwidth.Result, *GPUReport, error) {
+//
+// ctx is polled at the pipeline-stage boundaries the host controls:
+// before the upload, before the main kernel, and once per reduction
+// launch (the k summation reductions dominate the post-kernel host
+// loop). A single simulated kernel launch is atomic — exactly as a real
+// CUDA launch is — so cancellation granularity inside the device is one
+// launch; the tiled pipeline offers finer per-chunk cancellation.
+// Cancellation returns ctx.Err() and a zero Result.
+func SelectGPU(ctx context.Context, x, y []float64, g bandwidth.Grid, opt GPUOptions) (bandwidth.Result, *GPUReport, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return bandwidth.Result{}, nil, err
 	}

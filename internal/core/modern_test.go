@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/bandwidth"
 	"repro/internal/gpu"
 )
 
@@ -39,11 +41,11 @@ func TestModernProfileMovesTheWalls(t *testing.T) {
 	}
 	// And a functional run still agrees with the host algorithm.
 	d, g := paperSetup(t, 200, 20, 17)
-	res, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{Props: modern})
+	res, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{Props: modern})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := SortedSequential(d.X, d.Y, g)
+	seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if res.Index != seq.Index {
 		t.Errorf("modern-profile selection %d vs host %d", res.Index, seq.Index)
 	}

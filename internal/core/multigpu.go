@@ -53,17 +53,11 @@ type MultiGPUResult struct {
 var ErrNoHealthyDevices = errors.New("core: no healthy devices remain in the fleet")
 
 // SelectGPUMulti runs the paper's pipeline split across `devices`
-// simulated GPUs. devices ≤ 1 falls back to a single device (but still
-// returns the MultiGPUResult shape).
-func SelectGPUMulti(x, y []float64, g bandwidth.Grid, devices int, opt GPUOptions) (MultiGPUResult, error) {
-	return SelectGPUMultiContext(context.Background(), x, y, g, devices, opt)
-}
-
-// SelectGPUMultiContext is SelectGPUMulti with cooperative cancellation:
-// it builds a healthy simulated fleet of the requested size and runs the
-// fleet scheduler on it. Cancellation returns ctx.Err() and a zero
-// MultiGPUResult.
-func SelectGPUMultiContext(ctx context.Context, x, y []float64, g bandwidth.Grid, devices int, opt GPUOptions) (MultiGPUResult, error) {
+// simulated GPUs: it builds a healthy simulated fleet of the requested
+// size and runs SelectGPUFleet on it. devices ≤ 1 falls back to a single
+// device (but still returns the MultiGPUResult shape). Cancellation
+// returns ctx.Err() and a zero MultiGPUResult.
+func SelectGPUMulti(ctx context.Context, x, y []float64, g bandwidth.Grid, devices int, opt GPUOptions) (MultiGPUResult, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return MultiGPUResult{}, err
 	}
@@ -81,12 +75,7 @@ func SelectGPUMultiContext(ctx context.Context, x, y []float64, g bandwidth.Grid
 	if err != nil {
 		return MultiGPUResult{}, err
 	}
-	return SelectGPUFleetContext(ctx, x, y, g, m, opt)
-}
-
-// SelectGPUFleet is SelectGPUFleetContext with a background context.
-func SelectGPUFleet(x, y []float64, g bandwidth.Grid, m gpu.Manager, opt GPUOptions) (MultiGPUResult, error) {
-	return SelectGPUFleetContext(context.Background(), x, y, g, m, opt)
+	return SelectGPUFleet(ctx, x, y, g, m, opt)
 }
 
 // fleetShard is one device-sized share [start, start+count) of the
@@ -96,7 +85,7 @@ type fleetShard struct {
 	idx, start, count int
 }
 
-// SelectGPUFleetContext runs the multi-device sweep on an explicit
+// SelectGPUFleet runs the multi-device sweep on an explicit
 // device fleet. The observations are cut into min(DeviceCount, n)
 // shards; each round assigns the pending shards round-robin over the
 // currently healthy devices and runs one goroutine per device. A device
@@ -108,7 +97,7 @@ type fleetShard struct {
 // ctx is polled between rounds, per shard, and inside each share once
 // per reduction launch; cancellation returns ctx.Err() and a zero
 // MultiGPUResult.
-func SelectGPUFleetContext(ctx context.Context, x, y []float64, g bandwidth.Grid, m gpu.Manager, opt GPUOptions) (MultiGPUResult, error) {
+func SelectGPUFleet(ctx context.Context, x, y []float64, g bandwidth.Grid, m gpu.Manager, opt GPUOptions) (MultiGPUResult, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return MultiGPUResult{}, err
 	}

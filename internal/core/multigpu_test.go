@@ -1,20 +1,22 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/bandwidth"
 	"repro/internal/gpu"
 	"repro/internal/mathx"
 )
 
 func TestMultiGPUMatchesSingle(t *testing.T) {
 	d, g := paperSetup(t, 301, 25, 11)
-	single, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{KeepScores: true})
+	single, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, devices := range []int{1, 2, 3, 5} {
-		multi, err := SelectGPUMulti(d.X, d.Y, g, devices, GPUOptions{KeepScores: true})
+		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, devices, GPUOptions{KeepScores: true})
 		if err != nil {
 			t.Fatalf("devices=%d: %v", devices, err)
 		}
@@ -36,11 +38,11 @@ func TestMultiGPUMatchesSingle(t *testing.T) {
 
 func TestMultiGPUMatchesHost(t *testing.T) {
 	d, g := paperSetup(t, 150, 20, 3)
-	seq, err := SortedSequential(d.X, d.Y, g)
+	seq, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SelectGPUMulti(d.X, d.Y, g, 2, GPUOptions{KeepScores: true})
+	multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, 2, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +104,16 @@ func TestMultiGPUDegenerateInputs(t *testing.T) {
 	d, g := paperSetup(t, 30, 5, 1)
 	// devices > n clamps; devices <= 0 becomes 1.
 	for _, devices := range []int{0, -3, 50} {
-		multi, err := SelectGPUMulti(d.X, d.Y, g, devices, GPUOptions{})
+		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, devices, GPUOptions{})
 		if err != nil {
 			t.Fatalf("devices=%d: %v", devices, err)
 		}
-		seq, _ := SortedSequential(d.X, d.Y, g)
+		seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if multi.Index != seq.Index {
 			t.Errorf("devices=%d: wrong selection", devices)
 		}
 	}
-	if _, err := SelectGPUMulti(d.X[:1], d.Y[:1], g, 2, GPUOptions{}); err == nil {
+	if _, err := SelectGPUMulti(context.Background(), d.X[:1], d.Y[:1], g, 2, GPUOptions{}); err == nil {
 		t.Error("single observation should fail")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestNoHealthyDevicesMatchesThroughWrap pins that ErrNoHealthyDevices
-// survives the fmt.Errorf("%w") layers SelectGPUFleetContext adds
+// survives the fmt.Errorf("%w") layers SelectGPUFleet adds
 // before the sentinel reaches the serve handler that maps it to 503.
 // The handler matches with errors.Is; this test is the regression fence
 // keeping a == comparison from ever looking correct there.

@@ -67,17 +67,12 @@ func autoChunk(n, k int, props gpu.Properties) (int, error) {
 // selection, a device report, and the chunk size used. Results are
 // identical to SelectGPU: the per-observation arithmetic is unchanged,
 // only scratch reuse differs.
-func SelectGPUTiled(x, y []float64, g bandwidth.Grid, opt TiledOptions) (bandwidth.Result, *GPUReport, int, error) {
-	return SelectGPUTiledContext(context.Background(), x, y, g, opt)
-}
-
-// SelectGPUTiledContext is SelectGPUTiled with cooperative cancellation
-// at tile granularity: ctx is polled before every chunk launch (each
-// chunk is C observations of device work) and once per reduction, so
-// the ⌈n/C⌉-launch structure that fixes the memory wall also bounds the
-// cancellation latency. Cancellation returns ctx.Err() and a zero
-// Result.
-func SelectGPUTiledContext(ctx context.Context, x, y []float64, g bandwidth.Grid, opt TiledOptions) (bandwidth.Result, *GPUReport, int, error) {
+//
+// ctx is polled at tile granularity: before every chunk launch (each
+// chunk is C observations of device work) and once per reduction, so the
+// ⌈n/C⌉-launch structure that fixes the memory wall also bounds the
+// cancellation latency. Cancellation returns ctx.Err() and a zero Result.
+func SelectGPUTiled(ctx context.Context, x, y []float64, g bandwidth.Grid, opt TiledOptions) (bandwidth.Result, *GPUReport, int, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return bandwidth.Result{}, nil, 0, err
 	}

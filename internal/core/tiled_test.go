@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/bandwidth"
 	"repro/internal/gpu"
 	"repro/internal/mathx"
 )
@@ -13,12 +15,12 @@ func TestTiledMatchesUntiled(t *testing.T) {
 	// untiled pipeline: same arithmetic per observation, different
 	// scratch reuse. Chunk sizes that divide n, that don't, and C = 1.
 	d, g := paperSetup(t, 257, 25, 5)
-	base, _, err := SelectGPU(d.X, d.Y, g, GPUOptions{KeepScores: true})
+	base, _, err := SelectGPU(context.Background(), d.X, d.Y, g, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 64, 257, 1000} {
-		res, _, used, err := SelectGPUTiled(d.X, d.Y, g, TiledOptions{ChunkSize: chunk, KeepScores: true})
+		res, _, used, err := SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{ChunkSize: chunk, KeepScores: true})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}
@@ -115,7 +117,7 @@ func TestTiledPlanMatchesUntiledWorkAtSameSize(t *testing.T) {
 
 func TestTiledFunctionalTallyMatchesPlan(t *testing.T) {
 	d, g := paperSetup(t, 300, 20, 9)
-	_, rep, chunk, err := SelectGPUTiled(d.X, d.Y, g, TiledOptions{ChunkSize: 100})
+	_, rep, chunk, err := SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{ChunkSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestTiledFunctionalTallyMatchesPlan(t *testing.T) {
 
 func TestTiledValidation(t *testing.T) {
 	d, g := paperSetup(t, 50, 5, 1)
-	if _, _, _, err := SelectGPUTiled(d.X[:1], d.Y[:1], g, TiledOptions{}); err == nil {
+	if _, _, _, err := SelectGPUTiled(context.Background(), d.X[:1], d.Y[:1], g, TiledOptions{}); err == nil {
 		t.Error("single observation should fail")
 	}
 	// Device too small for even the fixed allocations.
@@ -155,11 +157,11 @@ func TestTiledValidation(t *testing.T) {
 
 func TestTiledScoresVsHost(t *testing.T) {
 	d, g := paperSetup(t, 120, 15, 3)
-	seq, err := SortedSequential(d.X, d.Y, g)
+	seq, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, err := SelectGPUTiled(d.X, d.Y, g, TiledOptions{ChunkSize: 33, KeepScores: true})
+	res, _, _, err := SelectGPUTiled(context.Background(), d.X, d.Y, g, TiledOptions{ChunkSize: 33, KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}

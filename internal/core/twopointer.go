@@ -14,32 +14,11 @@ import (
 // O(n) per row instead of the per-row O(n log n) device sort — and fed
 // to the same incremental bandwidth sweep (accumulateRow*) unchanged.
 // Rows include the self observation (distance 0, emitted first) so the
-// leave-one-out correction inside the sweep applies identically.
-func TwoPointerSequential(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return TwoPointerSequentialContext(context.Background(), x, y, g)
-}
-
-// TwoPointerSequentialUncompensated is TwoPointerSequential with the
-// paper's plain float32 running sums — the ablation twin, matching
-// SortedSequentialUncompensated.
-func TwoPointerSequentialUncompensated(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return TwoPointerSequentialUncompensatedContext(context.Background(), x, y, g)
-}
-
-// TwoPointerSequentialContext is TwoPointerSequential with cooperative
-// cancellation, polled once per observation. Cancellation returns
-// ctx.Err() and a zero Result.
-func TwoPointerSequentialContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return twoPointerSequential(ctx, x, y, g, false)
-}
-
-// TwoPointerSequentialUncompensatedContext is
-// TwoPointerSequentialUncompensated with cooperative cancellation.
-func TwoPointerSequentialUncompensatedContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return twoPointerSequential(ctx, x, y, g, true)
-}
-
-func twoPointerSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, uncompensated bool) (bandwidth.Result, error) {
+// leave-one-out correction inside the sweep applies identically. st
+// selects compensated or the paper's plain float32 running sums, as for
+// SortedSequential; ctx is polled once per observation and cancellation
+// returns ctx.Err() and a zero Result.
+func TwoPointerSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, st bandwidth.Stability) (bandwidth.Result, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return bandwidth.Result{}, err
 	}
@@ -61,7 +40,7 @@ func twoPointerSequential(ctx context.Context, x, y []float64, g bandwidth.Grid,
 			return bandwidth.Result{}, err
 		}
 		twoPointerFillRow32(xs, ys, j, absRow, yRow)
-		if uncompensated {
+		if st == bandwidth.Uncompensated {
 			accumulateRow(absRow, yRow, ys[j], hs, scores)
 		} else {
 			accumulateRowCompensated(absRow, yRow, ys[j], hs, scores, comp)

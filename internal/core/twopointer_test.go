@@ -25,11 +25,11 @@ func TestTwoPointerSequentialMatchesSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SortedSequential(d.X, d.Y, g)
+		want, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TwoPointerSequential(d.X, d.Y, g)
+		got, err := TwoPointerSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestTwoPointerSequentialMatchesSorted(t *testing.T) {
 			}
 		}
 		// And the uncompensated twin against its own counterpart.
-		wantU, err := SortedSequentialUncompensated(d.X, d.Y, g)
+		wantU, err := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Uncompensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotU, err := TwoPointerSequentialUncompensated(d.X, d.Y, g)
+		gotU, err := TwoPointerSequential(context.Background(), d.X, d.Y, g, bandwidth.Uncompensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +77,11 @@ func TestTwoPointerSequentialDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SortedSequential(x, y, g)
+	want, err := SortedSequential(context.Background(), x, y, g, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TwoPointerSequential(x, y, g)
+	got, err := TwoPointerSequential(context.Background(), x, y, g, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTwoPointerSequentialCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := TwoPointerSequentialContext(ctx, d.X, d.Y, g)
+	r, err := TwoPointerSequential(ctx, d.X, d.Y, g, bandwidth.Compensated)
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned %v", err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -147,17 +149,17 @@ func MeasureCell(p Program, n, k int, cfg Config) (Cell, bandwidth.Result, error
 func runProgram(p Program, d data.Dataset, g bandwidth.Grid, cfg Config) (bandwidth.Result, error) {
 	switch p {
 	case ProgNumerical:
-		r, err := baselines.SelectNumerical(d.X, d.Y, baselines.Options{})
+		r, err := baselines.SelectNumerical(context.Background(), d.X, d.Y, baselines.Options{})
 		return bandwidth.Result{H: r.H, CV: r.CV, Index: -1}, err
 	case ProgNumericalMC:
-		r, err := baselines.SelectNumericalParallel(d.X, d.Y, baselines.Options{Workers: cfg.Workers})
+		r, err := baselines.SelectNumericalParallel(context.Background(), d.X, d.Y, baselines.Options{Workers: cfg.Workers})
 		return bandwidth.Result{H: r.H, CV: r.CV, Index: -1}, err
 	case ProgSeqC:
-		return core.SortedSequential(d.X, d.Y, g)
+		return core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	case ProgSortedGo:
-		return bandwidth.SortedGridSearch(d.X, d.Y, g)
+		return bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case ProgParallelGo:
-		return bandwidth.SortedGridSearchParallel(d.X, d.Y, g, cfg.Workers)
+		return bandwidth.SortedGridSearchParallel(context.Background(), d.X, d.Y, g, cfg.Workers, bandwidth.Compensated)
 	default:
 		return bandwidth.Result{}, fmt.Errorf("harness: cannot run program %v directly", p)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -83,19 +84,19 @@ func checkAgreement(cfg Config) (Check, error) {
 	if err != nil {
 		return Check{}, err
 	}
-	naive, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	naive, err := bandwidth.NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if err != nil {
 		return Check{}, err
 	}
-	sorted, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	sorted, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		return Check{}, err
 	}
-	seq, err := core.SortedSequential(d.X, d.Y, g)
+	seq, err := core.SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
 	if err != nil {
 		return Check{}, err
 	}
-	gpuRes, _, err := core.SelectGPU(d.X, d.Y, g, core.GPUOptions{Props: cfg.Props})
+	gpuRes, _, err := core.SelectGPU(context.Background(), d.X, d.Y, g, core.GPUOptions{Props: cfg.Props})
 	if err != nil {
 		return Check{}, err
 	}
@@ -113,14 +114,14 @@ func checkAgreement(cfg Config) (Check, error) {
 func checkSortedBeatsNaive(cfg Config) (Check, error) {
 	n := 1000
 	naiveCell, _, err := measureFunc(func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+		_, err := bandwidth.NaiveGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 		return err
 	}, n, cfg)
 	if err != nil {
 		return Check{}, err
 	}
 	sortedCell, _, err := measureFunc(func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+		_, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		return err
 	}, n, cfg)
 	if err != nil {
@@ -273,11 +274,17 @@ func checkPanelAKEffect(cfg Config) (Check, error) {
 	tSmall := -1.0
 	tBig := -1.0
 	for r := 0; r < cfg.Runs; r++ {
-		a, err := timeOnce(func() error { _, err := core.SortedSequential(d.X, d.Y, gSmall); return err })
+		a, err := timeOnce(func() error {
+			_, err := core.SortedSequential(context.Background(), d.X, d.Y, gSmall, bandwidth.Compensated)
+			return err
+		})
 		if err != nil {
 			return Check{}, err
 		}
-		b, err := timeOnce(func() error { _, err := core.SortedSequential(d.X, d.Y, gBig); return err })
+		b, err := timeOnce(func() error {
+			_, err := core.SortedSequential(context.Background(), d.X, d.Y, gBig, bandwidth.Compensated)
+			return err
+		})
 		if err != nil {
 			return Check{}, err
 		}

@@ -20,8 +20,7 @@
 //     sorted incremental sweep, generalised to carry the other
 //     dimensions' kernel weights as observation weights.
 //
-// Both have ...Context variants that poll cancellation at sweep
-// granularity.
+// Both take a context and poll it at sweep granularity.
 package mvreg
 
 import (
@@ -257,17 +256,13 @@ func validateGrids(s Sample, grids [][]float64) error {
 // MeshSearch evaluates CV over the full Cartesian product of the per-
 // dimension grids and returns the best bandwidth vector. Exact over the
 // mesh; cost grows as Πk_d, so it refuses meshes above MaxMeshCells.
-func MeshSearch(s Sample, grids [][]float64, k kernel.Kind) (Result, error) {
-	return MeshSearchContext(context.Background(), s, grids, k)
-}
-
-// MeshSearchContext is MeshSearch with cooperative cancellation, polled
-// at sweep granularity. For the product Epanechnikov kernel the mesh is
-// served by the fast-sum-updating sweep (see sweep.go); other kernels
-// evaluate the naive objective per cell. Both visit cells in the same
-// odometer order (dimension 0 fastest) with a strict first-minimum
-// comparison, so ties resolve to the lowest-index cell either way.
-func MeshSearchContext(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind) (Result, error) {
+// For the product Epanechnikov kernel the mesh is served by the
+// fast-sum-updating sweep (see sweep.go); other kernels evaluate the
+// naive objective per cell. Both visit cells in the same odometer order
+// (dimension 0 fastest) with a strict first-minimum comparison, so ties
+// resolve to the lowest-index cell either way. ctx is polled at sweep
+// granularity.
+func MeshSearch(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -325,15 +320,9 @@ func meshNaive(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind) 
 // The start point is the midpoint of each grid. Epanechnikov only (the
 // sweep's prefix decomposition is kernel-specific). The result is a
 // coordinate-wise optimum of the mesh: no single-coordinate move
-// improves it.
-func CoordinateDescent(s Sample, grids [][]float64, maxSweeps int) (Result, error) {
-	return CoordinateDescentContext(context.Background(), s, grids, maxSweeps)
-}
-
-// CoordinateDescentContext is CoordinateDescent with cooperative
-// cancellation, polled once per dimension pass and at sweep granularity
-// inside each pass.
-func CoordinateDescentContext(ctx context.Context, s Sample, grids [][]float64, maxSweeps int) (Result, error) {
+// improves it. ctx is polled once per dimension pass and at sweep
+// granularity inside each pass.
+func CoordinateDescent(ctx context.Context, s Sample, grids [][]float64, maxSweeps int) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -203,7 +203,7 @@ func TestDefaultGrids(t *testing.T) {
 func TestMeshSearchExactOnSmallMesh(t *testing.T) {
 	s := bivariateSample(50, 9)
 	grids := [][]float64{{0.2, 0.4, 0.8}, {0.2, 0.4, 0.8}}
-	res, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	res, err := MeshSearch(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +250,10 @@ func TestDegenerateGridErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := MeshSearch(s, tc.grids, kernel.Epanechnikov); err == nil || err.Error() != tc.want {
+			if _, err := MeshSearch(context.Background(), s, tc.grids, kernel.Epanechnikov); err == nil || err.Error() != tc.want {
 				t.Errorf("MeshSearch error = %v, want %q", err, tc.want)
 			}
-			if _, err := CoordinateDescent(s, tc.grids, 0); err == nil || err.Error() != tc.want {
+			if _, err := CoordinateDescent(context.Background(), s, tc.grids, 0); err == nil || err.Error() != tc.want {
 				t.Errorf("CoordinateDescent error = %v, want %q", err, tc.want)
 			}
 		})
@@ -276,7 +276,7 @@ func TestCoordinateDescentReachesCoordinatewiseOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CoordinateDescent(s, grids, 0)
+	res, err := CoordinateDescent(context.Background(), s, grids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestCoordinateDescentAgreesWithMesh(t *testing.T) {
 	// the full mesh optimum (or at least its CV within a whisker).
 	s := bivariateSample(80, 13)
 	grids := [][]float64{{0.1, 0.2, 0.3, 0.5, 0.8}, {0.1, 0.2, 0.3, 0.5, 0.8}}
-	mesh, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	mesh, err := MeshSearch(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := CoordinateDescent(s, grids, 0)
+	cd, err := CoordinateDescent(context.Background(), s, grids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +322,16 @@ func TestCoordinateDescentAgreesWithMesh(t *testing.T) {
 
 func TestCoordinateDescentValidation(t *testing.T) {
 	s := bivariateSample(20, 14)
-	if _, err := CoordinateDescent(s, [][]float64{{0.1}}, 0); err == nil {
+	if _, err := CoordinateDescent(context.Background(), s, [][]float64{{0.1}}, 0); err == nil {
 		t.Error("grid-count mismatch should fail")
 	}
-	if _, err := CoordinateDescent(s, [][]float64{{0.2, 0.1}, {0.1}}, 0); err == nil {
+	if _, err := CoordinateDescent(context.Background(), s, [][]float64{{0.2, 0.1}, {0.1}}, 0); err == nil {
 		t.Error("descending grid should fail")
 	}
-	if _, err := CoordinateDescent(s, [][]float64{{-0.1, 0.2}, {0.1}}, 0); err == nil {
+	if _, err := CoordinateDescent(context.Background(), s, [][]float64{{-0.1, 0.2}, {0.1}}, 0); err == nil {
 		t.Error("negative bandwidth should fail")
 	}
-	if _, err := CoordinateDescent(s, [][]float64{{0.1}, {}}, 0); err == nil {
+	if _, err := CoordinateDescent(context.Background(), s, [][]float64{{0.1}, {}}, 0); err == nil {
 		t.Error("empty grid should fail")
 	}
 }
@@ -351,7 +351,7 @@ func TestAnisotropicBandwidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CoordinateDescent(s, grids, 0)
+	res, err := CoordinateDescent(context.Background(), s, grids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestMeshSearchTieBreakLowestIndex(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Triangular} {
-				res, err := MeshSearch(tc.s, grids, k)
+				res, err := MeshSearch(context.Background(), tc.s, grids, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -525,13 +525,13 @@ func TestMeshSearchContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MeshSearchContext(ctx, s, grids, kernel.Epanechnikov); !errors.Is(err, context.Canceled) {
+	if _, err := MeshSearch(ctx, s, grids, kernel.Epanechnikov); !errors.Is(err, context.Canceled) {
 		t.Errorf("sweep path: err = %v, want context.Canceled", err)
 	}
-	if _, err := MeshSearchContext(ctx, s, grids, kernel.Triangular); !errors.Is(err, context.Canceled) {
+	if _, err := MeshSearch(ctx, s, grids, kernel.Triangular); !errors.Is(err, context.Canceled) {
 		t.Errorf("naive path: err = %v, want context.Canceled", err)
 	}
-	if _, err := CoordinateDescentContext(ctx, s, grids, 0); !errors.Is(err, context.Canceled) {
+	if _, err := CoordinateDescent(ctx, s, grids, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("coordinate descent: err = %v, want context.Canceled", err)
 	}
 }
@@ -551,7 +551,7 @@ func TestTrivariateCoordinateDescent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CoordinateDescent(s, grids, 0)
+	res, err := CoordinateDescent(context.Background(), s, grids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,10 @@ import (
 
 // MeshSearchParallel is MeshSearch with the mesh columns sharded across
 // worker goroutines (0 = GOMAXPROCS). Bit-identical to MeshSearch for
-// every worker count.
-func MeshSearchParallel(s Sample, grids [][]float64, k kernel.Kind, workers int) (Result, error) {
-	return MeshSearchParallelContext(context.Background(), s, grids, k, workers)
-}
-
-// MeshSearchParallelContext is MeshSearchParallel with cooperative
-// cancellation, polled at sweep granularity inside every worker. Kernels
-// without a prefix decomposition fall back to the sequential naive mesh.
-func MeshSearchParallelContext(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind, workers int) (Result, error) {
+// every worker count. ctx is polled at sweep granularity inside every
+// worker. Kernels without a prefix decomposition fall back to the
+// sequential naive mesh.
+func MeshSearchParallel(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind, workers int) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -43,12 +43,12 @@ func TestMeshParallelBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, err := MeshSearch(tc.s, tc.grids, kernel.Epanechnikov)
+			seq, err := MeshSearch(context.Background(), tc.s, tc.grids, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
 			for _, workers := range []int{1, 2, 3, 4, 7, 0} {
-				par, err := MeshSearchParallel(tc.s, tc.grids, kernel.Epanechnikov, workers)
+				par, err := MeshSearchParallel(context.Background(), tc.s, tc.grids, kernel.Epanechnikov, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -81,12 +81,12 @@ func TestMeshParallelTies(t *testing.T) {
 		s.Y = append(s.Y, 1.0)
 	}
 	grids := [][]float64{mvTestGrid(0.5, 2, 4), mvTestGrid(0.5, 2, 6)}
-	seq, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	seq, err := MeshSearch(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5} {
-		par, err := MeshSearchParallel(s, grids, kernel.Epanechnikov, workers)
+		par, err := MeshSearchParallel(context.Background(), s, grids, kernel.Epanechnikov, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +103,11 @@ func TestMeshParallelTies(t *testing.T) {
 func TestMeshParallelNaiveFallback(t *testing.T) {
 	s := parallelSample(32, 2, 4)
 	grids := [][]float64{mvTestGrid(0.2, 1, 4), mvTestGrid(0.2, 1, 4)}
-	seq, err := MeshSearch(s, grids, kernel.Gaussian)
+	seq, err := MeshSearch(context.Background(), s, grids, kernel.Gaussian)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeshSearchParallel(s, grids, kernel.Gaussian, 3)
+	par, err := MeshSearchParallel(context.Background(), s, grids, kernel.Gaussian, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMeshParallelCancellation(t *testing.T) {
 	grids := [][]float64{mvTestGrid(0.1, 1, 8), mvTestGrid(0.1, 1, 8)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MeshSearchParallelContext(ctx, s, grids, kernel.Epanechnikov, 3)
+	res, err := MeshSearchParallel(ctx, s, grids, kernel.Epanechnikov, 3)
 	if err == nil {
 		t.Fatal("pre-cancelled context accepted")
 	}

@@ -170,7 +170,7 @@ func (s *Server) handleFleetSelect(w http.ResponseWriter, r *http.Request, req *
 		if req.Stable != nil && !*req.Stable {
 			opt.Uncompensated = true
 		}
-		res, err = core.SelectGPUFleetContext(ctx, req.X, req.Y, g, s.fleet, opt)
+		res, err = core.SelectGPUFleet(ctx, req.X, req.Y, g, s.fleet, opt)
 		if err != nil {
 			if errors.Is(err, core.ErrNoHealthyDevices) {
 				unavailable = &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}

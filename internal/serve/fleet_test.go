@@ -96,7 +96,7 @@ func TestFleetSelectHealsAndReportsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.SelectGPUFleetContext(context.Background(), x, y, g, hm, core.GPUOptions{})
+	want, err := core.SelectGPUFleet(context.Background(), x, y, g, hm, core.GPUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bandwidth"
-	"repro/internal/kernel"
 	"repro/internal/wire"
 	"repro/kernreg"
 )
@@ -35,9 +34,8 @@ type ShardRequest struct {
 	XB64    string `json:"x_b64"`
 	YB64    string `json:"y_b64"`
 	GridB64 string `json:"grid_b64"`
-	// Method names the float64 host selector to run ("window",
-	// "sorted", "twopointer", "naive", "sorted-parallel",
-	// "twopointer-parallel"); empty means kernreg.DefaultMethod.
+	// Method names the selector to run, one kernreg reports shardable
+	// (kernreg.ShardMethod); empty means kernreg.DefaultMethod.
 	Method string `json:"method,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`
@@ -79,48 +77,6 @@ type LoadResponse struct {
 	Worker     string `json:"worker,omitempty"`
 }
 
-// shardSelector maps a shard method name to its float64 host selector.
-// Only the host float64 family is shardable: the conformance contract
-// is bit-identity with the single-node answer, which the compensated
-// sweep guarantees per grid point (each candidate's accumulator state
-// depends only on the data and that candidate, never on which other
-// candidates share the grid). The window sweep holds it by construction:
-// each bandwidth is an independent pass over the sorted sample.
-func shardSelector(method string) (func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error), *httpError) {
-	if method == "" {
-		method = kernreg.DefaultMethod.String()
-	}
-	switch method {
-	case "window":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, _ bandwidth.Stability) (bandwidth.Result, error) {
-			return bandwidth.WindowGridSearchContext(ctx, x, y, g, k)
-		}, nil
-	case "sorted":
-		return bandwidth.SortedGridSearchKernelStabilityContext, nil
-	case "twopointer":
-		return bandwidth.TwoPointerGridSearchKernelStabilityContext, nil
-	case "naive":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, _ bandwidth.Stability) (bandwidth.Result, error) {
-			return bandwidth.NaiveGridSearchContext(ctx, x, y, g, k)
-		}, nil
-	case "sorted-parallel":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error) {
-			if k != kernel.Epanechnikov {
-				return bandwidth.Result{}, badRequest("method \"sorted-parallel\" supports only the epanechnikov kernel")
-			}
-			return bandwidth.SortedGridSearchParallelStabilityContext(ctx, x, y, g, 0, st)
-		}, nil
-	case "twopointer-parallel":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error) {
-			if k != kernel.Epanechnikov {
-				return bandwidth.Result{}, badRequest("method \"twopointer-parallel\" supports only the epanechnikov kernel")
-			}
-			return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, 0, st)
-		}, nil
-	}
-	return nil, badRequest("method %q is not shardable (want window, sorted, twopointer, naive, or a -parallel variant)", method)
-}
-
 // decodeShardRequest parses and validates a /v1/shard body, whose
 // limit admits x and y at MaxN observations and a grid of MaxGrid
 // points. All failures are 4xx by construction.
@@ -154,13 +110,8 @@ func decodeShardRequest(w http.ResponseWriter, r *http.Request, cfg Config) (*Sh
 	if req.Offset < 0 {
 		return nil, nil, nil, bandwidth.Grid{}, badRequest("offset must be non-negative, got %d", req.Offset)
 	}
-	if req.Kernel != "" {
-		if _, err := kernel.Parse(req.Kernel); err != nil {
-			return nil, nil, nil, bandwidth.Grid{}, badRequest("unknown kernel %q", req.Kernel)
-		}
-	}
-	if _, herr := shardSelector(req.Method); herr != nil {
-		return nil, nil, nil, bandwidth.Grid{}, herr
+	if _, err := kernreg.ShardMethod(req.Method, req.Kernel); err != nil {
+		return nil, nil, nil, bandwidth.Grid{}, badRequest("%v", err)
 	}
 	return &req, x, y, g, nil
 }
@@ -172,27 +123,19 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, herr.msg, herr.status)
 		return
 	}
-	sel, _ := shardSelector(req.Method)
-	kern := kernel.Epanechnikov
-	if req.Kernel != "" {
-		kern, _ = kernel.Parse(req.Kernel) // validated by the decoder
-	}
-	st := bandwidth.Compensated
-	if req.Stable != nil && !*req.Stable {
-		st = bandwidth.Uncompensated
-	}
+	stable := req.Stable == nil || *req.Stable
 	start := time.Now()
-	var res bandwidth.Result
+	var res kernreg.Selection
 	ok := s.runJob(w, r, "shard", func(ctx context.Context) error {
 		var err error
-		res, err = sel(ctx, x, y, g, kern, st)
+		res, err = kernreg.SelectShard(ctx, x, y, g.H, req.Method, req.Kernel, stable, req.KeepScores)
 		return err
 	})
 	if !ok {
 		return
 	}
 	resp := ShardResponse{
-		HBits:      wire.FormatBits(res.H),
+		HBits:      wire.FormatBits(res.Bandwidth),
 		CVBits:     wire.FormatBits(res.CV),
 		Index:      res.Index,
 		Offset:     req.Offset,

@@ -46,7 +46,7 @@ func TestShardBitRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	want, err := bandwidth.TwoPointerGridSearchKernelContext(context.Background(), x, y, bandwidth.Grid{H: g.H[lo:hi]}, kernel.Epanechnikov)
+	want, err := bandwidth.TwoPointerGridSearch(context.Background(), x, y, bandwidth.Grid{H: g.H[lo:hi]}, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,3 +130,31 @@ func TestSelectBandwidthContextMidFlight(t *testing.T) {
 		t.Fatalf("cancelled search still ran for %v", elapsed)
 	}
 }
+
+// TestSelectBandwidthContextAICcDeadline: a deadline that expires mid
+// search stops the AICc sweeps like the CV ones — the sorted sweep polls
+// per observation, the naive search per bandwidth — and returns the zero
+// Selection with ctx.Err(), never a completed selection past its
+// deadline.
+func TestSelectBandwidthContextAICcDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow search not worth running under -short")
+	}
+	x, y := ctxSample(4000)
+	for _, m := range []Method{MethodSorted, MethodNaive} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		sel, err := SelectBandwidthContext(ctx, x, y, WithMethod(m), WithCriterion(CriterionAICc))
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("method %v: err = %v, want context.DeadlineExceeded (elapsed %v)", m, err, elapsed)
+		}
+		if sel.Bandwidth != 0 || sel.CV != 0 || sel.Index != 0 || sel.Grid != nil || sel.Scores != nil {
+			t.Fatalf("method %v: cancelled selection leaked a partial result: %+v", m, sel)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("method %v: search ran %v past a 20ms deadline", m, elapsed)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/kde"
 	"repro/internal/kernel"
@@ -37,53 +36,15 @@ func (c Criterion) String() string {
 	}
 }
 
-// WithCriterion selects the model-selection objective. CriterionAICc is
-// supported by MethodSorted (Epanechnikov) and MethodNaive (any kernel),
-// for the local-constant estimator.
+// WithCriterion selects the model-selection objective. CriterionAICc
+// applies to the local-constant estimator; with no WithMethod it runs
+// MethodSorted's AICc sweep, and a method or kernel without an AICc
+// search is rejected with an error naming what it does support.
 func WithCriterion(c Criterion) Option {
 	return func(cfg *config) error {
 		cfg.criterion = c
 		return nil
 	}
-}
-
-// selectAICc handles the CriterionAICc branch of SelectBandwidth. The
-// AICc searches have no context-aware variants yet, so cancellation is
-// honoured at entry only.
-func selectAICc(ctx context.Context, x, y []float64, c config) (Selection, error) {
-	g, err := buildGrid(x, c)
-	if err != nil {
-		return Selection{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Selection{}, err
-	}
-	var r bandwidth.Result
-	switch c.method {
-	case MethodSorted:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted AICc search supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.SortedGridSearchAICc(x, y, g)
-	case MethodNaive:
-		r, err = bandwidth.NaiveGridSearchAICc(x, y, g, c.kern)
-	default:
-		return Selection{}, fmt.Errorf("kernreg: method %v does not support the AICc criterion", c.method)
-	}
-	if err != nil {
-		return Selection{}, err
-	}
-	sel := Selection{
-		Bandwidth: r.H,
-		CV:        r.CV, // the criterion value (AICc, not a squared error)
-		Index:     r.Index,
-		Grid:      append([]float64(nil), g.H...),
-		Method:    c.method,
-	}
-	if c.keepScores {
-		sel.Scores = r.Scores
-	}
-	return sel, nil
 }
 
 // Estimator selects the regression type the CV objective targets,
@@ -111,53 +72,15 @@ func (e Estimator) String() string {
 	}
 }
 
-// WithEstimator selects the regression type for SelectBandwidth.
-// LocalLinear is supported by MethodSorted (Epanechnikov) and MethodNaive
-// (any kernel).
+// WithEstimator selects the regression type for SelectBandwidth. With
+// no WithMethod, LocalLinear runs MethodSorted's local-linear sweep; a
+// method or kernel without a local-linear search is rejected with an
+// error naming what it does support.
 func WithEstimator(e Estimator) Option {
 	return func(c *config) error {
 		c.estimator = e
 		return nil
 	}
-}
-
-// selectLocalLinear handles the LocalLinear branch of SelectBandwidth.
-func selectLocalLinear(ctx context.Context, x, y []float64, c config) (Selection, error) {
-	g, err := buildGrid(x, c)
-	if err != nil {
-		return Selection{}, err
-	}
-	var r bandwidth.Result
-	switch c.method {
-	case MethodSorted:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted local-linear search supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.SortedGridSearchLocalLinearStabilityContext(ctx, x, y, g, c.stability())
-	case MethodNaive:
-		r, err = bandwidth.NaiveGridSearchLocalLinearContext(ctx, x, y, g, c.kern)
-	case MethodTwoPointer:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: two-pointer local-linear search supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.TwoPointerGridSearchLocalLinearStabilityContext(ctx, x, y, g, c.stability())
-	default:
-		return Selection{}, fmt.Errorf("kernreg: method %v does not support the local-linear estimator", c.method)
-	}
-	if err != nil {
-		return Selection{}, err
-	}
-	sel := Selection{
-		Bandwidth: r.H,
-		CV:        r.CV,
-		Index:     r.Index,
-		Grid:      append([]float64(nil), g.H...),
-		Method:    c.method,
-	}
-	if c.keepScores {
-		sel.Scores = r.Scores
-	}
-	return sel, nil
 }
 
 // MVSelection is a multivariate bandwidth selection.
@@ -191,9 +114,9 @@ func SelectBandwidthMVContext(ctx context.Context, x [][]float64, y []float64, k
 	}
 	var r mvreg.Result
 	if mesh {
-		r, err = mvreg.MeshSearchContext(ctx, s, grids, kernel.Epanechnikov)
+		r, err = mvreg.MeshSearch(ctx, s, grids, kernel.Epanechnikov)
 	} else {
-		r, err = mvreg.CoordinateDescentContext(ctx, s, grids, 0)
+		r, err = mvreg.CoordinateDescent(ctx, s, grids, 0)
 	}
 	if err != nil {
 		return MVSelection{}, err

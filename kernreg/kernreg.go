@@ -31,113 +31,9 @@ import (
 	"sync"
 
 	"repro/internal/bandwidth"
-	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/regression"
 )
-
-// Method selects the bandwidth-search algorithm.
-type Method int
-
-const (
-	// MethodSorted is the paper's sorted incremental grid search
-	// (double precision): Program 3's algorithm without the float32
-	// narrowing.
-	MethodSorted Method = iota
-	// MethodSortedParallel fans the sorted search across goroutines.
-	MethodSortedParallel
-	// MethodSortedF32 is the single-precision variant, bit-faithful to
-	// the paper's sequential C program.
-	MethodSortedF32
-	// MethodNaive evaluates the CV objective independently per grid
-	// point (O(k·n²)); works with every kernel.
-	MethodNaive
-	// MethodNumerical uses derivative-free numerical optimisation (the
-	// approach of the R np package). Subject to local minima.
-	MethodNumerical
-	// MethodGPU runs the paper's CUDA pipeline on a simulated GPU
-	// (functional mode), including its memory-capacity limits.
-	MethodGPU
-	// MethodGPUTiled runs the future-work tiled pipeline (no n×n
-	// matrices) on the simulated GPU: identical results, O(C·n) device
-	// memory.
-	MethodGPUTiled
-	// MethodTwoPointer replaces the per-observation sorts of
-	// MethodSorted with one global sort plus a two-pointer neighbour
-	// merge per observation: O(n log n + n·(n+k)) total instead of
-	// O(n² log n), same objective, same grid.
-	MethodTwoPointer
-	// MethodTwoPointerParallel shards the two-pointer sweep across
-	// goroutines over the single shared sorted sample.
-	MethodTwoPointerParallel
-	// MethodTwoPointerF32 is the single-precision two-pointer variant:
-	// Program 3's arithmetic with the global-sort enumeration.
-	MethodTwoPointerF32
-	// MethodBagged bags the two-pointer search over r subsamples of
-	// size m (Barreiro-Ures, Cao & Francisco-Fernández,
-	// arXiv:2105.04134): each bag runs an exact Θ(m²) sweep, the mean
-	// winner is rescaled by (m/n)^(1/5), and the whole selection costs
-	// Θ(r·m²) — reaching million-point samples the exact selectors
-	// cannot. Configure with Bags, BagSize and Seed; with BagSize(n)
-	// (or n ≤ 512 under the defaults) it degenerates to MethodTwoPointer
-	// bit-identically.
-	MethodBagged
-	// MethodWindow is the window-sum sweep: one global sort, then one
-	// O(n) pass of sliding window sums per bandwidth, O(n log n + k·n)
-	// in all. Exact over the grid for the Epanechnikov, Uniform and
-	// Triangular kernels. The default (DefaultMethod).
-	MethodWindow
-)
-
-// DefaultMethod is the search SelectBandwidth runs when no WithMethod
-// option is given, and the method kernregd, kerncoord and /v1/shard run
-// for an empty method name. The local-linear estimator and the AICc
-// criterion, which the window sweep does not cover, fall back to
-// MethodSorted when no method is given.
-const DefaultMethod = MethodWindow
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case MethodSorted:
-		return "sorted"
-	case MethodSortedParallel:
-		return "sorted-parallel"
-	case MethodSortedF32:
-		return "sorted-f32"
-	case MethodNaive:
-		return "naive"
-	case MethodNumerical:
-		return "numerical"
-	case MethodGPU:
-		return "gpu"
-	case MethodGPUTiled:
-		return "gpu-tiled"
-	case MethodTwoPointer:
-		return "twopointer"
-	case MethodTwoPointerParallel:
-		return "twopointer-parallel"
-	case MethodTwoPointerF32:
-		return "twopointer-f32"
-	case MethodBagged:
-		return "bagged"
-	case MethodWindow:
-		return "window"
-	default:
-		return fmt.Sprintf("kernreg.Method(%d)", int(m))
-	}
-}
-
-// ParseMethod returns the Method named by s.
-func ParseMethod(s string) (Method, error) {
-	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged, MethodWindow} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("kernreg: unknown method %q", s)
-}
 
 // configPool recycles the options struct: passing &config to the Option
 // closures makes it escape, which would be the one heap allocation left
@@ -343,7 +239,8 @@ func Pooled() Option {
 type Selection struct {
 	// Bandwidth is the selected smoothing parameter.
 	Bandwidth float64
-	// CV is the leave-one-out cross-validation score at Bandwidth.
+	// CV is the leave-one-out cross-validation score at Bandwidth (the
+	// AICc value, not a squared error, under CriterionAICc).
 	CV float64
 	// Index is the position in the grid (-1 for MethodNumerical, which
 	// searches a continuum, and for non-degenerate MethodBagged, whose
@@ -402,113 +299,33 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 	if !c.methodSet && (c.estimator == LocalLinear || c.criterion == CriterionAICc) {
 		c.method = MethodSorted
 	}
-	if c.estimator == LocalLinear {
-		if c.criterion != CriterionCV {
-			return Selection{}, errors.New("kernreg: the AICc criterion currently supports the local-constant estimator only")
-		}
-		return selectLocalLinear(ctx, x, y, c)
+	if c.estimator == LocalLinear && c.criterion != CriterionCV {
+		return Selection{}, errors.New("kernreg: the AICc criterion currently supports the local-constant estimator only")
 	}
-	if c.criterion == CriterionAICc {
-		return selectAICc(ctx, x, y, c)
+	spec := c.method.spec()
+	if spec == nil {
+		return Selection{}, fmt.Errorf("kernreg: unsupported method %v", c.method)
 	}
-	if c.method == MethodNumerical {
-		return selectNumerical(ctx, x, y, c)
+	fn, err := spec.objective(c)
+	if err != nil {
+		return Selection{}, err
 	}
 	if c.pooled {
-		if c.method != MethodTwoPointer {
-			return Selection{}, fmt.Errorf("kernreg: Pooled supports MethodTwoPointer only, not %v", c.method)
+		if c.method != MethodTwoPointer || c.estimator != LocalConstant || c.criterion != CriterionCV {
+			return Selection{}, fmt.Errorf("kernreg: Pooled supports MethodTwoPointer's local-constant CV search only, not %v", c.method)
 		}
 		if c.keepScores {
 			return Selection{}, errors.New("kernreg: Pooled and KeepScores are mutually exclusive (scores live in pooled memory)")
 		}
 		return selectTwoPointerPooled(ctx, x, y, c)
 	}
-	g, err := buildGrid(x, c)
-	if err != nil {
-		return Selection{}, err
+	var g bandwidth.Grid
+	if !spec.gridless {
+		if g, err = buildGrid(x, c); err != nil {
+			return Selection{}, err
+		}
 	}
-	var r bandwidth.Result
-	var bagCVVar float64
-	switch c.method {
-	case MethodSorted:
-		r, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, x, y, g, c.kern, c.stability())
-	case MethodSortedParallel:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted-parallel currently supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.SortedGridSearchParallelStabilityContext(ctx, x, y, g, c.workers, c.stability())
-	case MethodSortedF32:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted-f32 supports the epanechnikov kernel only")
-		}
-		if c.stable {
-			r, err = core.SortedSequentialContext(ctx, x, y, g)
-		} else {
-			r, err = core.SortedSequentialUncompensatedContext(ctx, x, y, g)
-		}
-	case MethodNaive:
-		r, err = bandwidth.NaiveGridSearchContext(ctx, x, y, g, c.kern)
-	case MethodGPU:
-		if c.kern != kernel.Epanechnikov && c.kern != kernel.Uniform && c.kern != kernel.Triangular {
-			return Selection{}, errors.New("kernreg: gpu method supports the epanechnikov, uniform and triangular kernels")
-		}
-		r, _, err = core.SelectGPUContext(ctx, x, y, g, core.GPUOptions{KeepScores: c.keepScores, Kernel: c.kern, Uncompensated: !c.stable})
-	case MethodGPUTiled:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: gpu-tiled supports the epanechnikov kernel only")
-		}
-		r, _, _, err = core.SelectGPUTiledContext(ctx, x, y, g, core.TiledOptions{KeepScores: c.keepScores, Uncompensated: !c.stable})
-	case MethodTwoPointer:
-		r, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, c.kern, c.stability())
-	case MethodTwoPointerParallel:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: twopointer-parallel currently supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, c.workers, c.stability())
-	case MethodTwoPointerF32:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: twopointer-f32 supports the epanechnikov kernel only")
-		}
-		if c.stable {
-			r, err = core.TwoPointerSequentialContext(ctx, x, y, g)
-		} else {
-			r, err = core.TwoPointerSequentialUncompensatedContext(ctx, x, y, g)
-		}
-	case MethodWindow:
-		r, err = bandwidth.WindowGridSearchContext(ctx, x, y, g, c.kern)
-	case MethodBagged:
-		var br bandwidth.BaggedResult
-		br, err = bandwidth.BaggedGridSearchContext(ctx, x, y, g, c.kern, bandwidth.BaggedOptions{
-			Bags:        c.bags,
-			BagSize:     c.bagSize,
-			Seed:        uint64(c.seed),
-			Workers:     c.workers,
-			Stability:   c.stability(),
-			Aggregation: c.agg,
-		})
-		// Non-degenerate bags report Index -1: the rescaled aggregate is
-		// a continuum value, not a grid point. The degenerate m == n path
-		// carries the exact sweep's index and scores through unchanged.
-		r = br.Result
-		bagCVVar = br.CVVar
-	default:
-		return Selection{}, fmt.Errorf("kernreg: unsupported method %v", c.method)
-	}
-	if err != nil {
-		return Selection{}, err
-	}
-	sel := Selection{
-		Bandwidth:     r.H,
-		CV:            r.CV,
-		Index:         r.Index,
-		Grid:          append([]float64(nil), g.H...),
-		Method:        c.method,
-		BagCVVariance: bagCVVar,
-	}
-	if c.keepScores {
-		sel.Scores = r.Scores
-	}
-	return sel, nil
+	return runMethod(ctx, x, y, g, c, fn)
 }
 
 // validateSample rejects structurally invalid input at the public API
@@ -563,24 +380,6 @@ func selectTwoPointerPooled(ctx context.Context, x, y []float64, c config) (Sele
 		return Selection{}, err
 	}
 	return Selection{Bandwidth: r.H, CV: r.CV, Index: r.Index, Method: c.method}, nil
-}
-
-func selectNumerical(ctx context.Context, x, y []float64, c config) (Selection, error) {
-	opt := baselines.Options{Kernel: c.kern, Starts: c.starts, Workers: c.workers}
-	if c.gridMin > 0 {
-		opt.Lo, opt.Hi = c.gridMin, c.gridMax
-	}
-	var r baselines.Result
-	var err error
-	if c.workers > 1 {
-		r, err = baselines.SelectNumericalParallelContext(ctx, x, y, opt)
-	} else {
-		r, err = baselines.SelectNumericalContext(ctx, x, y, opt)
-	}
-	if err != nil {
-		return Selection{}, err
-	}
-	return Selection{Bandwidth: r.H, CV: r.CV, Index: -1, Method: MethodNumerical}, nil
 }
 
 // Regression is a fitted Nadaraya–Watson kernel regression.

@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/kernel"
 	"repro/kernreg"
 )
 
@@ -25,7 +27,7 @@ func BenchmarkTwoPointerVsSorted(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/k=%d/sorted", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+					if _, err := bandwidth.SortedGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -33,7 +35,7 @@ func BenchmarkTwoPointerVsSorted(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/k=%d/twopointer", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g); err != nil {
+					if _, err := bandwidth.TwoPointerGridSearch(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -69,7 +71,7 @@ func BenchmarkTwoPointerParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.TwoPointerGridSearchParallel(d.X, d.Y, g, 0); err != nil {
+				if _, err := bandwidth.TwoPointerGridSearchParallel(context.Background(), d.X, d.Y, g, 0, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
