@@ -133,8 +133,7 @@ func TwoPointerGridSearchInto(ctx context.Context, x, y []float64, g Grid, k ker
 	}
 	n := len(x)
 	xs, ys := ws.sortSample(x, y)
-	absd := ws.absd[:n-1]
-	yv := ws.yv[:n-1]
+	absd, yv := ws.neighbours(n - 1)
 	scores := ws.zeroScores(g.Len())
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -189,8 +188,7 @@ func TwoPointerGridSearchParallel(ctx context.Context, x, y []float64, g Grid, w
 			defer wg.Done()
 			wws := AcquireWorkspace(n, k)
 			defer wws.Release()
-			absd := wws.absd[:n-1]
-			yv := wws.yv[:n-1]
+			absd, yv := wws.neighbours(n - 1)
 			scores := wws.zeroScores(k)
 			// Contiguous shards: adjacent observations walk overlapping
 			// neighbour runs, so block assignment keeps each worker's
@@ -237,9 +235,8 @@ func TwoPointerGridSearchLocalLinear(ctx context.Context, x, y []float64, g Grid
 	ws := AcquireWorkspace(n, g.Len())
 	defer ws.Release()
 	xs, ys := ws.sortSample(x, y)
-	absd := ws.absd[:n-1]
-	delta := ws.delta[:n-1]
-	yv := ws.yv[:n-1]
+	absd, yv := ws.neighbours(n - 1)
+	delta := ws.deltas(n - 1)
 	scores := ws.zeroScores(g.Len())
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {

@@ -8,15 +8,16 @@ import (
 )
 
 // Pooled scratch workspaces for the two-pointer sweeps. A selection at
-// sample size n and grid size k needs five O(n) buffers (the globally
-// sorted copies of X and Y plus the per-observation neighbour buffers)
-// and two O(k) buffers (the score accumulator and, for the pooled
-// kernreg fast path, the grid itself). Allocating them per call makes
-// every selection pay several make()s; under kernregd's steady traffic
-// the same sizes recur constantly, so the workspaces are recycled
-// through sync.Pools keyed by capacity class and the hot path allocates
-// nothing after warm-up (the root benchmark's pooled variant proves it
-// with b.ReportAllocs).
+// sample size n and grid size k needs up to five O(n) buffers (the
+// globally sorted copies of X and Y plus the per-observation neighbour
+// buffers, which only the two-pointer sweeps use and which are
+// allocated on first use) and two O(k) buffers (the score accumulator
+// and, for the pooled kernreg fast path, the grid itself). Allocating
+// them per call makes every selection pay several make()s; under
+// kernregd's steady traffic the same sizes recur constantly, so the
+// workspaces are recycled through sync.Pools keyed by capacity class
+// and the hot path allocates nothing after warm-up (the root
+// benchmark's pooled variant proves it with b.ReportAllocs).
 
 // wsClasses is the number of power-of-two capacity classes. Class c
 // holds workspaces whose sample buffers have capacity 1<<c, so 48
@@ -66,7 +67,8 @@ type Workspace struct {
 	// xs, ys are the globally sorted copies of the sample.
 	xs, ys []float64
 	// absd, yv, delta are the per-observation neighbour buffers
-	// (distance, Y payload, and signed δ for the local-linear sweep).
+	// (distance, Y payload, and signed δ for the local-linear sweep),
+	// nil until a two-pointer sweep first asks for them.
 	absd, yv, delta []float64
 	// scores is the CV accumulator; gridH backs the pooled grid of the
 	// zero-allocation kernreg path.
@@ -82,13 +84,7 @@ func AcquireWorkspace(n, k int) *Workspace {
 	if ws == nil {
 		poolMisses.Add(1)
 		m := 1 << c
-		ws = &Workspace{
-			xs:    make([]float64, 0, m),
-			ys:    make([]float64, 0, m),
-			absd:  make([]float64, 0, m),
-			yv:    make([]float64, 0, m),
-			delta: make([]float64, 0, m),
-		}
+		ws = &Workspace{xs: make([]float64, 0, m), ys: make([]float64, 0, m)}
 	} else {
 		poolHits.Add(1)
 	}
@@ -117,6 +113,30 @@ func (ws *Workspace) GridBuf(k int) []float64 {
 		ws.gridH = make([]float64, 0, k)
 	}
 	return ws.gridH[:0]
+}
+
+// neighbours returns the distance and Y neighbour buffers at length m,
+// allocating them at the workspace's class capacity on first use.
+func (ws *Workspace) neighbours(m int) (absd, yv []float64) {
+	ws.absd = grow(ws.absd, m, cap(ws.xs))
+	ws.yv = grow(ws.yv, m, cap(ws.xs))
+	return ws.absd, ws.yv
+}
+
+// deltas returns the local-linear sweep's signed-distance buffer at
+// length m, allocating it on first use.
+func (ws *Workspace) deltas(m int) []float64 {
+	ws.delta = grow(ws.delta, m, cap(ws.xs))
+	return ws.delta
+}
+
+// grow returns v resliced to length m, or a fresh slice of length m and
+// capacity c when v is too small.
+func grow(v []float64, m, c int) []float64 {
+	if cap(v) < m {
+		return make([]float64, m, c)
+	}
+	return v[:m]
 }
 
 // zeroScores returns the workspace's score accumulator sized to k and

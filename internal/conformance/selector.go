@@ -244,7 +244,11 @@ func Registry() []Selector {
 		{
 			Name: "gpu-multi", Class: Float32, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				r, err := core.SelectGPUMulti(ctx, x, y, g, 3, core.GPUOptions{KeepScores: true})
+				m, err := gpu.NewSimManager(3, gpu.TeslaS10())
+				if err != nil {
+					return bandwidth.Result{}, err
+				}
+				r, err := core.SelectGPUFleet(ctx, x, y, g, m, core.GPUOptions{KeepScores: true})
 				return r.Result, err
 			},
 		},

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/kernel"
 )
 
@@ -170,7 +171,11 @@ func TestStabilityDeviceFloat32(t *testing.T) {
 			return r, err
 		}},
 		{"gpu-multi", func(c stabilityCase, un bool) (bandwidth.Result, error) {
-			r, err := core.SelectGPUMulti(ctx, c.x, c.y, c.g, 3, core.GPUOptions{KeepScores: true, Uncompensated: un})
+			m, err := gpu.NewSimManager(3, gpu.TeslaS10())
+			if err != nil {
+				return bandwidth.Result{}, err
+			}
+			r, err := core.SelectGPUFleet(ctx, c.x, c.y, c.g, m, core.GPUOptions{KeepScores: true, Uncompensated: un})
 			return r.Result, err
 		}},
 	}

@@ -125,13 +125,19 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("n=%d exceeds the limit of %d observations", len(req.X), s.cfg.MaxN), http.StatusRequestEntityTooLarge)
 		return
 	}
+	// The same checks and codes as kernregd: a negative size is
+	// malformed, an over-limit one too large, and 0 takes the default.
+	if req.GridSize < 0 {
+		http.Error(w, fmt.Sprintf("grid_size must be positive, got %d", req.GridSize), http.StatusBadRequest)
+		return
+	}
+	if req.GridSize > s.cfg.MaxGrid {
+		http.Error(w, fmt.Sprintf("grid_size=%d exceeds the limit of %d", req.GridSize, s.cfg.MaxGrid), http.StatusRequestEntityTooLarge)
+		return
+	}
 	k := req.GridSize
 	if k == 0 {
 		k = 50
-	}
-	if k < 0 || k > s.cfg.MaxGrid {
-		http.Error(w, fmt.Sprintf("grid_size=%d outside [1, %d]", req.GridSize, s.cfg.MaxGrid), http.StatusBadRequest)
-		return
 	}
 	var (
 		g   bandwidth.Grid

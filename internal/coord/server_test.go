@@ -92,7 +92,8 @@ func TestServerRejects(t *testing.T) {
 		{"bad method", SelectRequest{X: x, Y: y, Method: "gpu"}, 400},
 		{"mismatch", SelectRequest{X: x, Y: y[:4]}, 400},
 		{"tiny", SelectRequest{X: x[:1], Y: y[:1]}, 400},
-		{"grid too big", SelectRequest{X: x, Y: y, GridSize: 100}, 400},
+		{"grid too big", SelectRequest{X: x, Y: y, GridSize: 100}, 413},
+		{"negative grid", SelectRequest{X: x, Y: y, GridSize: -1}, 400},
 		{"unknown field", map[string]any{"x": x, "y": y, "bogus": 1}, 400},
 		{"too many obs", func() SelectRequest { bx, by := testData(100, 23); return SelectRequest{X: bx, Y: by} }(), 413},
 		{"bad grid range", SelectRequest{X: x, Y: y, GridMin: 2, GridMax: 1}, 400},

@@ -101,8 +101,8 @@ func TestCoreSelectorsRejectInvalidSamples(t *testing.T) {
 		if _, _, _, err := SelectGPUTiled(context.Background(), c[0], c[1], g, TiledOptions{}); err == nil {
 			t.Errorf("SelectGPUTiled accepted %s", name)
 		}
-		if _, err := SelectGPUMulti(context.Background(), c[0], c[1], g, 2, GPUOptions{}); err == nil {
-			t.Errorf("SelectGPUMulti accepted %s", name)
+		if _, err := selectFleet(t, c[0], c[1], g, 2, GPUOptions{}); err == nil {
+			t.Errorf("SelectGPUFleet accepted %s", name)
 		}
 	}
 	// Invalid grids are rejected too.

@@ -243,7 +243,7 @@ func TestGoldenAllSelectorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, 3, GPUOptions{})
+		multi, err := selectFleet(t, d.X, d.Y, g, 3, GPUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/bandwidth"
-	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/kernel"
 	"repro/internal/mathx"
@@ -114,294 +113,7 @@ func SelectGPU(ctx context.Context, x, y []float64, g bandwidth.Grid, opt GPUOpt
 	if err != nil {
 		return bandwidth.Result{}, nil, err
 	}
-	n := len(x)
-	k := g.Len()
-
-	// Constant memory: the bandwidth grid. The 8 KB cached working set
-	// caps this at 2,048 float32 values, the paper's hard limit on k.
-	bwSym, err := dev.UploadConstant("bandwidths", toF32(g.H))
-	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	bufs, err := allocPipeline(dev, n, k)
-	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	if err := dev.CopyToDevice(bufs.dX, toF32(x)); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	if err := dev.CopyToDevice(bufs.dY, toF32(y)); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	if err := ctx.Err(); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	mainTally, err := launchMainKernel(dev, bufs, bwSym, n, k, opt.BlockDim, opt.NoIndexSwitch, opt.Uncompensated, opt.Kernel)
-	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	// One summation reduction per bandwidth (paper: "a summation
-	// reduction is performed k times, once for each bandwidth").
-	// Compensated runs use the Kahan strided fold; the NoIndexSwitch
-	// ablation keeps the plain strided reduction in both modes, since it
-	// exists to reproduce the original program's memory traffic.
-	redDim := reduceDim(opt.ReduceDim, n)
-	for jh := 0; jh < k; jh++ {
-		if err := ctx.Err(); err != nil {
-			return bandwidth.Result{}, nil, err
-		}
-		switch {
-		case opt.NoIndexSwitch:
-			err = cuda.SumReduceStrided(dev, bufs.dResid, jh, n, k, bufs.dCV, jh, redDim)
-		case opt.Uncompensated:
-			err = cuda.SumReduce(dev, bufs.dResid, jh*n, n, bufs.dCV, jh, redDim)
-		default:
-			err = cuda.SumReduceKahan(dev, bufs.dResid, jh*n, n, bufs.dCV, jh, redDim)
-		}
-		if err != nil {
-			return bandwidth.Result{}, nil, err
-		}
-	}
-
-	argDim := reduceDim(opt.ReduceDim, k)
-	var am cuda.ArgMinResult
-	if opt.UseIndexArgMin {
-		am, err = cuda.ArgMinIndexReduce(dev, bufs.dCV, k, bwSym, bufs.dOut, argDim)
-	} else {
-		am, err = cuda.ArgMinReduce(dev, bufs.dCV, k, bwSym, bufs.dOut, argDim)
-	}
-	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	res := bandwidth.Result{
-		H:     float64(am.Bandwidth),
-		CV:    float64(am.Score) / float64(n),
-		Index: am.Index,
-	}
-	if opt.KeepScores {
-		host := make([]float32, k)
-		if err := dev.CopyFromDevice(host, bufs.dCV); err != nil {
-			return bandwidth.Result{}, nil, err
-		}
-		res.Scores = make([]float64, k)
-		for jh, s := range host {
-			res.Scores[jh] = float64(s) / float64(n)
-		}
-	}
-
-	report := &GPUReport{
-		ModelSeconds: dev.Clock().Seconds(),
-		Mem:          dev.MemInfo(),
-		Stats:        dev.Stats(),
-		TimeByLabel:  dev.Clock().ByLabel(),
-		TimeByKernel: dev.Clock().ByFullLabel(),
-		Events:       dev.Clock().Events(),
-		MainTally:    mainTally,
-	}
-	freePipeline(dev, bufs)
-	return res, report, nil
-}
-
-// pipelineBuffers holds the device allocations of the paper's program.
-type pipelineBuffers struct {
-	dX, dY         gpu.Buffer // n
-	dAbsD, dYM     gpu.Buffer // n×n scratch matrices
-	dSumY, dSumYD2 gpu.Buffer // n×k accumulators
-	dSumD2, dCnt   gpu.Buffer // n×k accumulators
-	dResid         gpu.Buffer // k×n (index-switched) squared residuals
-	dCV            gpu.Buffer // k
-	dOut           gpu.Buffer // 2 (min score, best bandwidth)
-}
-
-// allocPipeline performs the paper's allocation sequence. The two n×n
-// matrices dominate and produce the out-of-memory failure above
-// n = 20,000 on the 4 GB profile. The paper's description tracks two n×k
-// sum matrices explicitly; the Epanechnikov leave-one-out estimator also
-// needs the in-range ΣY and count per (observation, bandwidth), so four
-// accumulator matrices are allocated — the capacity cliff is unaffected
-// (at n = 20,000, k = 50 they total 16 MB against the n×n matrices'
-// 3.2 GB).
-func allocPipeline(dev *gpu.Device, n, k int) (pipelineBuffers, error) {
-	var b pipelineBuffers
-	var err error
-	alloc := func(dst *gpu.Buffer, elems int, label string) {
-		if err != nil {
-			return
-		}
-		*dst, err = dev.Malloc(elems, label)
-	}
-	alloc(&b.dX, n, "x")
-	alloc(&b.dY, n, "y")
-	alloc(&b.dAbsD, n*n, "absdiff[n×n]")
-	alloc(&b.dYM, n*n, "ymatrix[n×n]")
-	alloc(&b.dSumY, n*k, "sumY[n×k]")
-	alloc(&b.dSumYD2, n*k, "sumYd2[n×k]")
-	alloc(&b.dSumD2, n*k, "sumD2[n×k]")
-	alloc(&b.dCnt, n*k, "count[n×k]")
-	alloc(&b.dResid, k*n, "resid[k×n]")
-	alloc(&b.dCV, k, "cv[k]")
-	alloc(&b.dOut, 2, "out[2]")
-	if err != nil {
-		return pipelineBuffers{}, err
-	}
-	return b, nil
-}
-
-func freePipeline(dev *gpu.Device, b pipelineBuffers) {
-	for _, buf := range []gpu.Buffer{b.dX, b.dY, b.dAbsD, b.dYM, b.dSumY, b.dSumYD2, b.dSumD2, b.dCnt, b.dResid, b.dCV, b.dOut} {
-		_ = dev.Free(buf)
-	}
-}
-
-// launchMainKernel runs the paper's main kernel: each thread j fills its
-// row of the distance and Y matrices, sorts them with the iterative
-// QuickSort, performs the incremental bandwidth sweep into the n×k
-// accumulators, and finally writes leave-one-out squared residuals into
-// the residual matrix with switched indices (k groups of n) so the
-// subsequent per-bandwidth reductions read coalesced memory.
-func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol, n, k, blockDim int, noSwitch, uncompensated bool, kern kernel.Kind) (gpu.Tally, error) {
-	if blockDim > dev.Props().MaxThreadsPerBlock {
-		blockDim = dev.Props().MaxThreadsPerBlock
-	}
-	if blockDim > n {
-		blockDim = n
-	}
-	cfg := gpu.LaunchConfig{GridDim: (n + blockDim - 1) / blockDim, BlockDim: blockDim}
-	attrs := gpu.KernelAttrs{Name: "bandwidthMain", UsesBarrier: false}
-	return dev.Launch(attrs, cfg, func(tc *gpu.ThreadCtx) {
-		j := tc.GlobalID()
-		if j >= n {
-			return
-		}
-		xs := tc.GlobalSlice(b.dX, 0, n)
-		ys := tc.GlobalSlice(b.dY, 0, n)
-		absRow := tc.GlobalSlice(b.dAbsD, j*n, n)
-		yRow := tc.GlobalSlice(b.dYM, j*n, n)
-
-		// Phase 1: fill. Reads of X/Y are warp-broadcast (every thread
-		// reads the same element per iteration) and charge as
-		// coalesced; the row writes walk per-thread rows and are fully
-		// uncoalesced.
-		xj := xs[j]
-		for i := 0; i < n; i++ {
-			d := xs[i] - xj
-			if d < 0 {
-				d = -d
-			}
-			absRow[i] = d
-			yRow[i] = ys[i]
-		}
-		tc.ChargeOps(int64(3 * n))
-		tc.SetAccessPattern(gpu.Coalesced)
-		tc.ChargeGlobalRead(int64(2*n+1) * 4)
-		tc.SetAccessPattern(gpu.Uncoalesced)
-		tc.ChargeGlobalWrite(int64(2*n) * 4)
-
-		// Phase 2: each thread performs its own complete sort of its
-		// row (in-place in global memory, uncoalesced).
-		sc := cuda.DeviceQuickSort(absRow, yRow)
-		cuda.ChargeSort(tc, sc)
-
-		// Phase 3: incremental sweep across the ascending bandwidth
-		// grid. For the Epanechnikov kernel the accumulators are Σy,
-		// Σy·d², Σd²; for the Triangular they are Σy, Σy·|d|, Σ|d|; for
-		// the Uniform just Σy — the count rides along in all cases
-		// (footnote 1's prefix-decomposable set). By default the three
-		// running sums carry Neumaier compensation: the sum and carry
-		// are per-thread registers, so the stabilised sweep costs extra
-		// flops but no extra memory traffic. The stored per-bandwidth
-		// snapshots stay plain float32, as the matrices' layout demands.
-		sy := compAcc32{plain: uncompensated}
-		syAux := compAcc32{plain: uncompensated}
-		sAux := compAcc32{plain: uncompensated}
-		cnt := 0
-		ptr := 0
-		sweepReads := 0
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			for ptr < n && absRow[ptr] <= h {
-				d := absRow[ptr]
-				yv := yRow[ptr]
-				sy.add(yv)
-				switch kern {
-				case kernel.Uniform:
-					// count and Σy suffice
-				case kernel.Triangular:
-					syAux.add(yv * d)
-					sAux.add(d)
-				default: // Epanechnikov
-					d2 := d * d
-					syAux.add(yv * d2)
-					sAux.add(d2)
-				}
-				cnt++
-				ptr++
-				sweepReads += 2
-			}
-			base := j*k + jh
-			tc.Store(b.dSumY, base, sy.sum())
-			tc.Store(b.dSumYD2, base, syAux.sum())
-			tc.Store(b.dSumD2, base, sAux.sum())
-			tc.Store(b.dCnt, base, float32(cnt))
-		}
-		if uncompensated {
-			tc.ChargeOps(int64(6*ptr + 2*k))
-		} else {
-			// Compensation quadruples each accumulate: ~4 flops per Add.
-			tc.ChargeOps(int64(15*ptr + 2*k))
-		}
-		tc.ChargeGlobalRead(int64(sweepReads) * 4)
-
-		// Phase 4: combine the accumulator matrices into leave-one-out
-		// squared residuals. Reads are uncoalesced (stride-k rows);
-		// the residual writes switch indices — resid[jh·n + j] — so
-		// that warp-adjacent threads write adjacent addresses
-		// (coalesced), the paper's bank-conflict optimisation.
-		yj := ys[j]
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			base := j*k + jh
-			sY := tc.Load(b.dSumY, base)
-			sYAux := tc.Load(b.dSumYD2, base)
-			sAux := tc.Load(b.dSumD2, base)
-			c := tc.Load(b.dCnt, base)
-			// Leave-one-out correction: the self term (distance 0) adds
-			// yj to Σy, K(0)-dependent nothing to the aux sums, and one
-			// to the count.
-			var num, den float32
-			switch kern {
-			case kernel.Uniform:
-				num = 0.5 * (sY - yj)
-				den = 0.5 * (c - 1)
-			case kernel.Triangular:
-				num = (sY - yj) - sYAux/h
-				den = (c - 1) - sAux/h
-			default: // Epanechnikov
-				h2 := h * h
-				num = 0.75 * ((sY - yj) - sYAux/h2)
-				den = 0.75 * ((c - 1) - sAux/h2)
-			}
-			var r2 float32
-			if den > 0 {
-				r := yj - num/den
-				r2 = r * r
-			}
-			if noSwitch {
-				// Ablation: unswitched n×k layout — warp-adjacent
-				// threads write addresses k elements apart.
-				tc.Store(b.dResid, j*k+jh, r2)
-			} else {
-				tc.SetAccessPattern(gpu.Coalesced)
-				tc.Store(b.dResid, jh*n+j, r2)
-				tc.SetAccessPattern(gpu.Uncoalesced)
-			}
-			tc.ChargeOps(10)
-		}
-	})
+	return selectOnDevice(ctx, dev, programLayout(len(x), g.Len()), x, y, g, opt)
 }
 
 // reduceDim picks the reduction block size: the requested power of two,

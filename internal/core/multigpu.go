@@ -8,8 +8,8 @@ import (
 	"sync"
 
 	"repro/internal/bandwidth"
-	"repro/internal/cuda"
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 )
 
 // Multi-GPU pipeline. The paper's test machine carried "two Tesla S10
@@ -52,37 +52,26 @@ type MultiGPUResult struct {
 // cannot recover from.
 var ErrNoHealthyDevices = errors.New("core: no healthy devices remain in the fleet")
 
-// SelectGPUMulti runs the paper's pipeline split across `devices`
-// simulated GPUs: it builds a healthy simulated fleet of the requested
-// size and runs SelectGPUFleet on it. devices ≤ 1 falls back to a single
-// device (but still returns the MultiGPUResult shape). Cancellation
-// returns ctx.Err() and a zero MultiGPUResult.
-func SelectGPUMulti(ctx context.Context, x, y []float64, g bandwidth.Grid, devices int, opt GPUOptions) (MultiGPUResult, error) {
-	if err := checkInputs(x, y, g); err != nil {
-		return MultiGPUResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return MultiGPUResult{}, err
-	}
-	if devices < 1 {
-		devices = 1
-	}
-	if devices > len(x) {
-		devices = len(x)
-	}
-	opt = opt.withDefaults()
-	m, err := gpu.NewSimManager(devices, opt.Props)
-	if err != nil {
-		return MultiGPUResult{}, err
-	}
-	return SelectGPUFleet(ctx, x, y, g, m, opt)
-}
-
 // fleetShard is one device-sized share [start, start+count) of the
 // observations. idx is its position in the host combine, which is what
 // makes the result independent of which device runs it.
 type fleetShard struct {
 	idx, start, count int
+}
+
+// fleetShards cuts n observations into shares of ⌈n/devices⌉, the last
+// one shorter, for 1 ≤ devices ≤ n.
+func fleetShards(n, devices int) []fleetShard {
+	share := (n + devices - 1) / devices
+	shards := make([]fleetShard, 0, devices)
+	for s := 0; s < devices; s++ {
+		start := s * share
+		if start >= n {
+			break
+		}
+		shards = append(shards, fleetShard{idx: s, start: start, count: min(share, n-start)})
+	}
+	return shards
 }
 
 // SelectGPUFleet runs the multi-device sweep on an explicit
@@ -94,9 +83,9 @@ type fleetShard struct {
 // returned result is bit-identical to a healthy run whenever at least
 // one device survives, because partial sums are combined in shard order.
 //
-// ctx is polled between rounds, per shard, and inside each share once
-// per reduction launch; cancellation returns ctx.Err() and a zero
-// MultiGPUResult.
+// ctx is polled between rounds, per shard, and inside each share before
+// its kernel launch and once per reduction launch; cancellation returns
+// ctx.Err() and a zero MultiGPUResult.
 func SelectGPUFleet(ctx context.Context, x, y []float64, g bandwidth.Grid, m gpu.Manager, opt GPUOptions) (MultiGPUResult, error) {
 	if err := checkInputs(x, y, g); err != nil {
 		return MultiGPUResult{}, err
@@ -104,31 +93,18 @@ func SelectGPUFleet(ctx context.Context, x, y []float64, g bandwidth.Grid, m gpu
 	if err := ctx.Err(); err != nil {
 		return MultiGPUResult{}, err
 	}
+	// The share runs the Epanechnikov kernel with the index switch on,
+	// whatever opt asks for: the fleet reproduces the paper's program.
 	opt = opt.withDefaults()
+	opt.Kernel, opt.NoIndexSwitch = kernel.Epanechnikov, false
 	n := len(x)
 	k := g.Len()
 	nd := m.DeviceCount()
 	if nd < 1 {
 		return MultiGPUResult{}, fmt.Errorf("%w: fleet is empty", ErrNoHealthyDevices)
 	}
-	numShards := nd
-	if numShards > n {
-		numShards = n
-	}
-	share := (n + numShards - 1) / numShards
-
-	pending := make([]fleetShard, 0, numShards)
-	for s := 0; s < numShards; s++ {
-		start := s * share
-		count := share
-		if start+count > n {
-			count = n - start
-		}
-		if count <= 0 {
-			continue
-		}
-		pending = append(pending, fleetShard{idx: s, start: start, count: count})
-	}
+	numShards := min(nd, n)
+	pending := fleetShards(n, numShards)
 
 	// The combine's k-vector accumulator lives in a pooled workspace, so
 	// every return path — including a cancellation that lands while
@@ -187,7 +163,7 @@ func SelectGPUFleet(ctx context.Context, x, y []float64, g bandwidth.Grid, m gpu
 					if ctx.Err() != nil {
 						return // the round loop surfaces ctx.Err()
 					}
-					sums, sec, peak, err := runFleetShard(ctx, m, di, x, y, g, s.start, s.count, opt)
+					sums, sec, peak, err := runFleetShard(ctx, m, di, x, y, g, s, opt)
 					mu.Lock()
 					if err != nil {
 						switch {
@@ -287,162 +263,27 @@ func combineFleetPartials(g bandwidth.Grid, partial [][]float32, total []float64
 	return bandwidth.Best(g, total)
 }
 
-// runFleetShard opens a fresh context on fleet device di and runs one
-// shard's share of the pipeline on it.
-func runFleetShard(ctx context.Context, m gpu.Manager, di int, x, y []float64, g bandwidth.Grid, start, count int, opt GPUOptions) ([]float32, float64, int64, error) {
+// runFleetShard opens a fresh context on fleet device di, runs one
+// shard's share of the pipeline on it and returns the share's
+// per-bandwidth partial residual sums, the device's modelled seconds and
+// its memory peak.
+func runFleetShard(ctx context.Context, m gpu.Manager, di int, x, y []float64, g bandwidth.Grid, s fleetShard, opt GPUOptions) ([]float32, float64, int64, error) {
 	dev, err := m.Open(di)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return runDeviceShare(ctx, dev, x, y, g, start, count, opt)
-}
-
-// runDeviceShare executes one device's share [start, start+count) of the
-// pipeline and returns its per-bandwidth partial residual sums.
-func runDeviceShare(ctx context.Context, dev *gpu.Device, x, y []float64, g bandwidth.Grid, start, count int, opt GPUOptions) ([]float32, float64, int64, error) {
-	n := len(x)
-	k := g.Len()
-	bwSym, err := dev.UploadConstant("bandwidths", toF32(g.H))
+	p, err := startPipeline(dev, shareLayout(len(x), g.Len(), s.start, s.count), x, y, g.H)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var dX, dY, dAbsD, dYM, dSumY, dSumYD2, dSumD2, dCnt, dResid, dCV gpu.Buffer
-	alloc := func(dst *gpu.Buffer, elems int, label string) {
-		if err != nil {
-			return
-		}
-		*dst, err = dev.Malloc(elems, label)
-	}
-	alloc(&dX, n, "x")
-	alloc(&dY, n, "y")
-	alloc(&dAbsD, count*n, "absdiff[share×n]")
-	alloc(&dYM, count*n, "ymatrix[share×n]")
-	alloc(&dSumY, count*k, "sumY[share×k]")
-	alloc(&dSumYD2, count*k, "sumYd2[share×k]")
-	alloc(&dSumD2, count*k, "sumD2[share×k]")
-	alloc(&dCnt, count*k, "count[share×k]")
-	alloc(&dResid, k*count, "resid[k×share]")
-	alloc(&dCV, k, "cv[k]")
-	if err != nil {
+	if _, err := p.sweep(ctx, opt); err != nil {
 		return nil, 0, 0, err
 	}
-	if err := dev.CopyToDevice(dX, toF32(x)); err != nil {
+	if err := p.reduce(ctx, opt); err != nil {
 		return nil, 0, 0, err
 	}
-	if err := dev.CopyToDevice(dY, toF32(y)); err != nil {
-		return nil, 0, 0, err
-	}
-
-	blockDim := opt.BlockDim
-	if blockDim > dev.Props().MaxThreadsPerBlock {
-		blockDim = dev.Props().MaxThreadsPerBlock
-	}
-	if blockDim > count {
-		blockDim = count
-	}
-	cfg := gpu.LaunchConfig{GridDim: (count + blockDim - 1) / blockDim, BlockDim: blockDim}
-	attrs := gpu.KernelAttrs{Name: "bandwidthMainShare", UsesBarrier: false}
-	_, err = dev.Launch(attrs, cfg, func(tc *gpu.ThreadCtx) {
-		t := tc.GlobalID()
-		if t >= count {
-			return
-		}
-		j := start + t
-		xs := tc.GlobalSlice(dX, 0, n)
-		ys := tc.GlobalSlice(dY, 0, n)
-		absRow := tc.GlobalSlice(dAbsD, t*n, n)
-		yRow := tc.GlobalSlice(dYM, t*n, n)
-
-		xj := xs[j]
-		for i := 0; i < n; i++ {
-			d := xs[i] - xj
-			if d < 0 {
-				d = -d
-			}
-			absRow[i] = d
-			yRow[i] = ys[i]
-		}
-		tc.ChargeOps(int64(3 * n))
-		tc.SetAccessPattern(gpu.Coalesced)
-		tc.ChargeGlobalRead(int64(2*n+1) * 4)
-		tc.SetAccessPattern(gpu.Uncoalesced)
-		tc.ChargeGlobalWrite(int64(2*n) * 4)
-
-		sc := cuda.DeviceQuickSort(absRow, yRow)
-		cuda.ChargeSort(tc, sc)
-
-		sy := compAcc32{plain: opt.Uncompensated}
-		syd2 := compAcc32{plain: opt.Uncompensated}
-		sd2 := compAcc32{plain: opt.Uncompensated}
-		cnt := 0
-		ptr := 0
-		sweepReads := 0
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			for ptr < n && absRow[ptr] <= h {
-				d := absRow[ptr]
-				d2 := d * d
-				yv := yRow[ptr]
-				sy.add(yv)
-				syd2.add(yv * d2)
-				sd2.add(d2)
-				cnt++
-				ptr++
-				sweepReads += 2
-			}
-			base := t*k + jh
-			tc.Store(dSumY, base, sy.sum())
-			tc.Store(dSumYD2, base, syd2.sum())
-			tc.Store(dSumD2, base, sd2.sum())
-			tc.Store(dCnt, base, float32(cnt))
-		}
-		if opt.Uncompensated {
-			tc.ChargeOps(int64(6*ptr + 2*k))
-		} else {
-			tc.ChargeOps(int64(15*ptr + 2*k))
-		}
-		tc.ChargeGlobalRead(int64(sweepReads) * 4)
-
-		yj := ys[j]
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			base := t*k + jh
-			sY := tc.Load(dSumY, base)
-			sYD2 := tc.Load(dSumYD2, base)
-			sD2 := tc.Load(dSumD2, base)
-			c := tc.Load(dCnt, base)
-			h2 := h * h
-			den := 0.75 * ((c - 1) - sD2/h2)
-			var r2 float32
-			if den > 0 {
-				num := 0.75 * ((sY - yj) - sYD2/h2)
-				r := yj - num/den
-				r2 = r * r
-			}
-			tc.SetAccessPattern(gpu.Coalesced)
-			tc.Store(dResid, jh*count+t, r2)
-			tc.SetAccessPattern(gpu.Uncoalesced)
-			tc.ChargeOps(10)
-		}
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	redDim := reduceDim(opt.ReduceDim, count)
-	sumReduce := cuda.SumReduceKahan
-	if opt.Uncompensated {
-		sumReduce = cuda.SumReduce
-	}
-	for jh := 0; jh < k; jh++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		if err := sumReduce(dev, dResid, jh*count, count, dCV, jh, redDim); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	sums := make([]float32, k)
-	if err := dev.CopyFromDevice(sums, dCV); err != nil {
+	sums := make([]float32, g.Len())
+	if err := dev.CopyFromDevice(sums, p.b.dCV); err != nil {
 		return nil, 0, 0, err
 	}
 	return sums, dev.Clock().Seconds(), dev.MemInfo().Peak, nil
@@ -452,82 +293,17 @@ func runDeviceShare(ctx context.Context, dev *gpu.Device, x, y []float64, g band
 // concurrently, so the modelled time is the slowest share. Returns the
 // plan of the slowest device plus the device count actually used.
 func PlanGPUMulti(n, k, devices int, props gpu.Properties) (Plan, int, error) {
-	if devices < 1 {
-		devices = 1
-	}
-	if devices > n {
-		devices = n
-	}
-	share := (n + devices - 1) / devices
+	devices = min(max(devices, 1), n)
 	worst := Plan{}
-	for d := 0; d < devices; d++ {
-		start := d * share
-		count := share
-		if start+count > n {
-			count = n - start
-		}
-		if count <= 0 {
-			continue
-		}
-		p, err := planDeviceShare(n, k, count, props)
+	for _, s := range fleetShards(n, devices) {
+		p, err := planPipeline(shareLayout(n, k, s.start, s.count), props)
 		if err != nil {
-			return Plan{}, 0, fmt.Errorf("device %d: %w", d, err)
+			return Plan{}, 0, fmt.Errorf("device %d: %w", s.idx, err)
 		}
-		if p.Seconds > worst.Seconds {
-			worst = p
+		if plan := p.plan(); plan.Seconds > worst.Seconds {
+			worst = plan
 		}
 	}
 	worst.N, worst.K = n, k
 	return worst, devices, nil
-}
-
-func planDeviceShare(n, k, count int, props gpu.Properties) (Plan, error) {
-	dev, err := gpu.NewDevice(props, gpu.Planning)
-	if err != nil {
-		return Plan{}, err
-	}
-	if _, err := dev.UploadConstant("bandwidths", make([]float32, k)); err != nil {
-		return Plan{}, err
-	}
-	sizes := []struct {
-		elems int
-		label string
-	}{
-		{n, "x"}, {n, "y"},
-		{count * n, "absdiff[share×n]"}, {count * n, "ymatrix[share×n]"},
-		{count * k, "sumY"}, {count * k, "sumYd2"}, {count * k, "sumD2"}, {count * k, "count"},
-		{k * count, "resid"}, {k, "cv"},
-	}
-	var bufX, bufY gpu.Buffer
-	for i, sz := range sizes {
-		b, err := dev.Malloc(sz.elems, sz.label)
-		if err != nil {
-			return Plan{}, err
-		}
-		switch i {
-		case 0:
-			bufX = b
-		case 1:
-			bufY = b
-		}
-	}
-	host := make([]float32, n)
-	if err := dev.CopyToDevice(bufX, host); err != nil {
-		return Plan{}, err
-	}
-	if err := dev.CopyToDevice(bufY, host); err != nil {
-		return Plan{}, err
-	}
-	dev.LaunchPlanned("bandwidthMainShare", mainKernelPlanThreads(count, n, k, props))
-	redDim := reduceDim(props.MaxThreadsPerBlock, count)
-	for jh := 0; jh < k; jh++ {
-		dev.LaunchPlanned("sumReduce", SumReducePlan(count, redDim, props))
-	}
-	return Plan{
-		N: n, K: k,
-		Seconds:     dev.Clock().Seconds(),
-		Mem:         dev.MemInfo(),
-		TimeByLabel: dev.Clock().ByLabel(),
-		KernelTally: dev.Stats().KernelTally,
-	}, nil
 }

@@ -2,12 +2,24 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gpu"
 	"repro/internal/mathx"
 )
+
+// selectFleet runs SelectGPUFleet on a healthy simulated fleet of the
+// given size.
+func selectFleet(t *testing.T, x, y []float64, g bandwidth.Grid, devices int, opt GPUOptions) (MultiGPUResult, error) {
+	t.Helper()
+	m, err := gpu.NewSimManager(devices, gpu.TeslaS10())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SelectGPUFleet(context.Background(), x, y, g, m, opt)
+}
 
 func TestMultiGPUMatchesSingle(t *testing.T) {
 	d, g := paperSetup(t, 301, 25, 11)
@@ -16,7 +28,7 @@ func TestMultiGPUMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, devices := range []int{1, 2, 3, 5} {
-		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, devices, GPUOptions{KeepScores: true})
+		multi, err := selectFleet(t, d.X, d.Y, g, devices, GPUOptions{KeepScores: true})
 		if err != nil {
 			t.Fatalf("devices=%d: %v", devices, err)
 		}
@@ -42,7 +54,7 @@ func TestMultiGPUMatchesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, 2, GPUOptions{KeepScores: true})
+	multi, err := selectFleet(t, d.X, d.Y, g, 2, GPUOptions{KeepScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +65,36 @@ func TestMultiGPUMatchesHost(t *testing.T) {
 		if mathx.RelDiff(multi.Scores[j], seq.Scores[j]) > 1e-4 {
 			t.Errorf("h#%d: %v vs %v", j, multi.Scores[j], seq.Scores[j])
 			break
+		}
+	}
+}
+
+// TestPlanMultiMatchesFleet checks PlanGPUMulti against the functional
+// fleet it costs, as TestPlanModelledTimeTracksFunctional does for
+// Program 4: on a healthy two-device fleet the planned share has the
+// same memory peak as the busiest device and modelled seconds within
+// 30% of the fleet's.
+func TestPlanMultiMatchesFleet(t *testing.T) {
+	for _, n := range []int{500, 301} {
+		d, g := paperSetup(t, n, 50, 8)
+		fleet, err := selectFleet(t, d.X, d.Y, g, 2, GPUOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, used, err := PlanGPUMulti(n, 50, 2, gpu.TeslaS10())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used != 2 {
+			t.Fatalf("n=%d: planned %d devices, want 2", n, used)
+		}
+		peak := max(fleet.MemPeaks[0], fleet.MemPeaks[1])
+		if plan.Mem.Peak != peak {
+			t.Errorf("n=%d: planned memory peak %d bytes, fleet peak %d", n, plan.Mem.Peak, peak)
+		}
+		rel := math.Abs(plan.Seconds-fleet.ModelSeconds) / fleet.ModelSeconds
+		if rel > 0.30 {
+			t.Errorf("n=%d: plan %.4fs vs fleet-model %.4fs (%.0f%% apart)", n, plan.Seconds, fleet.ModelSeconds, rel*100)
 		}
 	}
 }
@@ -102,18 +144,26 @@ func TestMultiGPUExtendsMemoryWall(t *testing.T) {
 
 func TestMultiGPUDegenerateInputs(t *testing.T) {
 	d, g := paperSetup(t, 30, 5, 1)
-	// devices > n clamps; devices <= 0 becomes 1.
-	for _, devices := range []int{0, -3, 50} {
-		multi, err := SelectGPUMulti(context.Background(), d.X, d.Y, g, devices, GPUOptions{})
-		if err != nil {
-			t.Fatalf("devices=%d: %v", devices, err)
-		}
-		seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
-		if multi.Index != seq.Index {
-			t.Errorf("devices=%d: wrong selection", devices)
+	// A fleet larger than n runs one shard per observation.
+	multi, err := selectFleet(t, d.X, d.Y, g, 50, GPUOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if multi.Devices != len(d.X) {
+		t.Errorf("50 devices on n=30: %d shards, want 30", multi.Devices)
+	}
+	seq, _ := SortedSequential(context.Background(), d.X, d.Y, g, bandwidth.Compensated)
+	if multi.Index != seq.Index {
+		t.Errorf("50 devices: wrong selection")
+	}
+	// The planner clamps its device count the same way; devices <= 0
+	// plans one device.
+	for devices, want := range map[int]int{0: 1, -3: 1, 50: 30} {
+		if _, used, err := PlanGPUMulti(30, 5, devices, gpu.TeslaS10()); err != nil || used != want {
+			t.Errorf("PlanGPUMulti devices=%d: used %d (err %v), want %d", devices, used, err, want)
 		}
 	}
-	if _, err := SelectGPUMulti(context.Background(), d.X[:1], d.Y[:1], g, 2, GPUOptions{}); err == nil {
+	if _, err := selectFleet(t, d.X[:1], d.Y[:1], g, 2, GPUOptions{}); err == nil {
 		t.Error("single observation should fail")
 	}
 }

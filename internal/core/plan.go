@@ -60,7 +60,7 @@ func mainKernelPlanThreads(threads, n, k int, p gpu.Properties) gpu.Tally {
 	sortReads := comps + 4*swaps // elements
 	sortWrites := 4 * swaps
 
-	// Per-thread operation count, phase by phase (see launchMainKernel).
+	// Per-thread operation count, phase by phase (see launchMain).
 	perThread := 3*nf + // fill
 		sortOps +
 		6*nf + 3*kf + 4*kf + // sweep + const reads + accumulator stores
@@ -162,47 +162,20 @@ type Plan struct {
 // both capacity cliffs — it returns gpu.ErrOutOfMemory (wrapped) above
 // the n×n memory wall and gpu.ErrConstCacheExceeded for k > 2,048.
 func PlanGPU(n, k int, props gpu.Properties) (Plan, error) {
-	dev, err := gpu.NewDevice(props, gpu.Planning)
+	p, err := planPipeline(programLayout(n, k), props)
 	if err != nil {
 		return Plan{}, err
 	}
-	if _, err := dev.UploadConstant("bandwidths", make([]float32, k)); err != nil {
-		return Plan{}, err
+	// The plan reports the peak before the program frees its buffers, and
+	// the modelled time including the frees.
+	mem := p.dev.MemInfo()
+	b := p.b
+	for _, buf := range []gpu.Buffer{b.dX, b.dY, b.dAbsD, b.dYM, b.dSumY, b.dSumYD2, b.dSumD2, b.dCnt, b.dResid, b.dCV, b.dOut} {
+		_ = p.dev.Free(buf)
 	}
-	bufs, err := allocPipeline(dev, n, k)
-	if err != nil {
-		return Plan{}, err
-	}
-	host := make([]float32, n)
-	if err := dev.CopyToDevice(bufs.dX, host); err != nil {
-		return Plan{}, err
-	}
-	if err := dev.CopyToDevice(bufs.dY, host); err != nil {
-		return Plan{}, err
-	}
-	dev.LaunchPlanned("bandwidthMain", MainKernelPlan(n, k, props))
-	redDim := reduceDim(props.MaxThreadsPerBlock, n)
-	for jh := 0; jh < k; jh++ {
-		dev.LaunchPlanned("sumReduce", SumReducePlan(n, redDim, props))
-	}
-	argDim := reduceDim(props.MaxThreadsPerBlock, k)
-	dev.LaunchPlanned("argMinReduce", ArgMinPlan(k, argDim, props))
-	out := make([]float32, 2)
-	if err := dev.CopyFromDevice(out, bufs.dOut); err != nil {
-		return Plan{}, err
-	}
-	mem := dev.MemInfo()
-	freePipeline(dev, bufs)
-	return Plan{
-		N:            n,
-		K:            k,
-		Seconds:      dev.Clock().Seconds(),
-		Mem:          mem,
-		TimeByLabel:  dev.Clock().ByLabel(),
-		KernelTally:  dev.Stats().KernelTally,
-		ConstBytes:   k * 4,
-		ReduceBlocks: k + 1,
-	}, nil
+	plan := p.plan()
+	plan.Mem, plan.ConstBytes, plan.ReduceBlocks = mem, k*4, k+1
+	return plan, nil
 }
 
 // MaxFeasibleN returns the largest sample size whose pipeline fits in the
